@@ -24,6 +24,7 @@ class ClientPrivateScheme final : public MultiLevelScheme {
     for (const SchemePtr& s : subs_)
       ULC_REQUIRE(s != nullptr, "client-private scheme got a null sub-scheme");
     name_ = std::string("private(") + subs_[0]->name() + ")";
+    refresh_stats();
   }
 
   void access(const Request& request) override {
@@ -32,6 +33,7 @@ class ClientPrivateScheme final : public MultiLevelScheme {
     Request r = request;
     r.client = 0;  // each copy is a single-client hierarchy
     subs_[request.client]->access(r);
+    refresh_stats();
   }
 
   void prefetch(const Request& request) const override {
@@ -59,20 +61,16 @@ class ClientPrivateScheme final : public MultiLevelScheme {
       subs_[c]->access_batch(std::span<const Request>(scratch_));
       i = j;
     }
+    refresh_stats();
   }
 
   bool supports_partitioned_replay() const override { return true; }
 
-  const HierarchyStats& stats() const override {
-    merged_ = HierarchyStats{};
-    // Fixed client order; all-integer, so the merge is exact regardless of
-    // how the per-client stats were produced.
-    for (const SchemePtr& s : subs_) merged_.merge_from(s->stats());
-    return merged_;
-  }
+  const HierarchyStats& stats() const override { return merged_; }
 
   void reset_stats() override {
     for (const SchemePtr& s : subs_) s->reset_stats();
+    refresh_stats();
   }
 
   const char* name() const override { return name_.c_str(); }
@@ -86,10 +84,18 @@ class ClientPrivateScheme final : public MultiLevelScheme {
   }
 
  private:
+  // Re-sums the per-client counters into merged_ so stats() stays live.
+  // Fixed client order; all-integer, so the merge is exact regardless of
+  // how the per-client stats were produced.
+  void refresh_stats() {
+    merged_.clear();
+    for (const SchemePtr& s : subs_) merged_.merge_from(s->stats());
+  }
+
   std::vector<SchemePtr> subs_;
   std::string name_;
   std::vector<Request> scratch_;
-  mutable HierarchyStats merged_;
+  HierarchyStats merged_;
 };
 
 }  // namespace

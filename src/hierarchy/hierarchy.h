@@ -53,6 +53,9 @@ class MultiLevelScheme {
   // uses it to split one oversized cell across worker threads.
   virtual bool supports_partitioned_replay() const { return false; }
 
+  // The returned reference stays valid for the scheme's lifetime and is
+  // live: its counters reflect every access() and reset_stats() as soon as
+  // the call returns. run_scheme's observer captures it once per run.
   virtual const HierarchyStats& stats() const = 0;
   // Drops accumulated statistics (end of the warm-up period) without
   // touching cache contents.

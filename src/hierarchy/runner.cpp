@@ -1,5 +1,7 @@
 #include "hierarchy/runner.h"
 
+#include <algorithm>
+#include <array>
 #include <string>
 
 #include "util/ensure.h"
@@ -10,56 +12,119 @@ namespace {
 
 // Per-access critical-path cost derived from the counter deltas of one
 // scheme.access() call: hit/miss service time plus the demote transfers it
-// triggered. Matches AccessTimeBreakdown::total() term by term, so the
-// histogram mean equals t_ave_ms exactly.
+// triggered, each with its per-unit (size-proportional) twin when the model
+// has one. Matches compute_access_time term by term, so the histogram mean
+// equals t_ave_ms.
+//
+// Everything that does not change during a run is fixed at construction:
+// the stats are read through the one reference stats() returns (stable and
+// live for the scheme's lifetime, see MultiLevelScheme::stats), and every
+// price comes from tables built here, holding the same doubles the
+// CostModel accessors compute. The terms are summed in the original order,
+// so every sample is bit-identical to pricing through the model directly.
 class AccessCostObserver {
  public:
+  static constexpr std::size_t kMaxLevels = 16;
+
   AccessCostObserver(const MultiLevelScheme& scheme, const CostModel& model)
-      : scheme_(scheme), model_(model) {
+      : stats_(scheme.stats()),
+        levels_(stats_.level_hits.size()),
+        sized_(model.size_proportional()) {
+    ULC_REQUIRE(levels_ <= kMaxLevels, "observed runs support up to 16 levels");
+    ULC_REQUIRE(stats_.demotions.size() == levels_ &&
+                    (!sized_ || (stats_.level_hit_bytes.size() == levels_ &&
+                                 stats_.demotion_bytes.size() == levels_)),
+                "observed runs need one counter slot per level in every vector");
+    hit_levels_ = std::min(levels_, model.levels());
+    demote_links_ = model.levels() > 0 ? std::min(levels_, model.levels() - 1) : 0;
+    for (std::size_t i = 0; i < hit_levels_; ++i) {
+      hit_ms_[i] = model.hit_time(i);
+      hit_ms_per_unit_[i] = model.hit_time_per_unit(i);
+    }
+    for (std::size_t i = 0; i < demote_links_; ++i) {
+      demote_ms_[i] = model.demote_cost(i);
+      demote_ms_per_unit_[i] = model.demote_cost_per_unit(i);
+    }
+    miss_ms_ = model.miss_time();
+    miss_ms_per_unit_ = model.miss_time_per_unit();
     snapshot();
   }
 
   // Must be called whenever scheme stats are reset mid-run (warmup end).
   void snapshot() {
-    const HierarchyStats& s = scheme_.stats();
-    prev_hits_ = s.level_hits;
-    prev_demotions_ = s.demotions;
-    prev_misses_ = s.misses;
+    for (std::size_t i = 0; i < levels_; ++i) {
+      prev_hits_[i] = stats_.level_hits[i];
+      prev_demotions_[i] = stats_.demotions[i];
+    }
+    prev_misses_ = stats_.misses;
+    if (sized_) snapshot_bytes();
   }
 
   // Cost in ms of the access performed since the last snapshot/observe call.
+  // Each loop prices a level's delta and rolls its snapshot forward in one
+  // pass: two passes over a few words would compile to memcpy for the
+  // second, whose start-up cost is most of this function's.
   double observe() {
-    const HierarchyStats& s = scheme_.stats();
+    const HierarchyStats& s = stats_;
     double cost = 0.0;
-    if (s.misses != prev_misses_) {
-      cost += model_.miss_time();
+    const bool miss = s.misses != prev_misses_;
+    if (miss) {
+      cost += miss_ms_;
+      if (sized_)
+        cost += static_cast<double>(s.miss_bytes - prev_miss_bytes_) * miss_ms_per_unit_;
       prev_misses_ = s.misses;
-    } else {
-      for (std::size_t i = 0; i < prev_hits_.size() && i < model_.levels(); ++i) {
-        if (s.level_hits[i] != prev_hits_[i]) {
-          cost += model_.hit_time(i);
-          break;
-        }
+    }
+    bool priced = miss;  // only the first level whose hits moved is charged
+    for (std::size_t i = 0; i < levels_; ++i) {
+      const std::uint64_t hits = s.level_hits[i];
+      if (!priced && i < hit_levels_ && hits != prev_hits_[i]) {
+        priced = true;
+        cost += hit_ms_[i];
+        if (sized_)
+          cost += static_cast<double>(s.level_hit_bytes[i] - prev_hit_bytes_[i]) *
+                  hit_ms_per_unit_[i];
       }
+      prev_hits_[i] = hits;
     }
-    for (std::size_t i = 0; i < prev_hits_.size(); ++i)
-      prev_hits_[i] = s.level_hits[i];
-    for (std::size_t i = 0; i + 1 < model_.levels() && i < prev_demotions_.size();
-         ++i) {
-      const std::uint64_t d = s.demotions[i] - prev_demotions_[i];
-      cost += static_cast<double>(d) * model_.demote_cost(i);
+    for (std::size_t i = 0; i < levels_; ++i) {
+      const std::uint64_t demotions = s.demotions[i];
+      if (i < demote_links_) {
+        cost += static_cast<double>(demotions - prev_demotions_[i]) * demote_ms_[i];
+        if (sized_)
+          cost += static_cast<double>(s.demotion_bytes[i] - prev_demotion_bytes_[i]) *
+                  demote_ms_per_unit_[i];
+      }
+      prev_demotions_[i] = demotions;
     }
-    for (std::size_t i = 0; i < prev_demotions_.size(); ++i)
-      prev_demotions_[i] = s.demotions[i];
+    if (sized_) snapshot_bytes();
     return cost;
   }
 
  private:
-  const MultiLevelScheme& scheme_;
-  const CostModel& model_;
-  std::vector<std::uint64_t> prev_hits_;
-  std::vector<std::uint64_t> prev_demotions_;
+  void snapshot_bytes() {
+    for (std::size_t i = 0; i < levels_; ++i) {
+      prev_hit_bytes_[i] = stats_.level_hit_bytes[i];
+      prev_demotion_bytes_[i] = stats_.demotion_bytes[i];
+    }
+    prev_miss_bytes_ = stats_.miss_bytes;
+  }
+
+  using Counts = std::array<std::uint64_t, kMaxLevels>;
+  using Prices = std::array<double, kMaxLevels>;
+
+  const HierarchyStats& stats_;
+  std::size_t levels_;        // counter slots per vector in stats_
+  std::size_t hit_levels_;    // levels the model prices a hit at
+  std::size_t demote_links_;  // links the model prices a demotion over
+  bool sized_;
+  Prices hit_ms_{}, hit_ms_per_unit_{};
+  Prices demote_ms_{}, demote_ms_per_unit_{};
+  double miss_ms_ = 0.0;
+  double miss_ms_per_unit_ = 0.0;
+  Counts prev_hits_{}, prev_demotions_{};
+  Counts prev_hit_bytes_{}, prev_demotion_bytes_{};
   std::uint64_t prev_misses_ = 0;
+  std::uint64_t prev_miss_bytes_ = 0;
 };
 
 void publish_counters(obs::MetricsRegistry& m, const HierarchyStats& s) {

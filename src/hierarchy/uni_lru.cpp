@@ -63,9 +63,9 @@ class UniLruScheme final : public MultiLevelScheme {
       write_back_if_dirty(victim, list_.segment_count() - 1);
   }
 
-  // Only the dirty map exposes a prefetchable index; the segmented list's
-  // node map (std::unordered_map) gives no stable bucket address to pull.
+  // Pulls the block's group in the list's index and in the dirty map.
   void prefetch(const Request& request) const override {
+    list_.prefetch(request.block);
     dirty_.prefetch(request.block);
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/ensure.h"
 
@@ -11,25 +10,25 @@ namespace obs {
 
 namespace {
 
-// Dedicated bucket for samples <= 0 (zero-cost local hits).
-constexpr int kZeroBucket = std::numeric_limits<int>::min();
+// Every bucket a sample can land in: the smallest subnormal's (frexp gives
+// exp2 = -1073) up to +inf's, one past DBL_MAX's.
+constexpr std::int64_t kMinIndex = -1073 * LatencyHistogram::kSubBuckets;
+constexpr std::int64_t kMaxIndex = 1025 * LatencyHistogram::kSubBuckets;
+// Buckets a fresh window spans on each side of its first sample (two octaves).
+constexpr std::int64_t kWindowHeadroom = 2 * LatencyHistogram::kSubBuckets;
 
 }  // namespace
 
-int LatencyHistogram::bucket_of(double ms) {
-  if (!(ms > 0.0)) return kZeroBucket;
+int LatencyHistogram::subnormal_bucket_of(double ms) {
   int exp2 = 0;
   const double frac = std::frexp(ms, &exp2);  // ms = frac * 2^exp2, frac in [0.5, 1)
   // (frac - 0.5) and the multiply by 2*kSubBuckets (a power of two) are both
   // exact, so the truncation below is platform-independent.
-  int sub = static_cast<int>((frac - 0.5) * (2.0 * kSubBuckets));
-  if (sub >= kSubBuckets) sub = kSubBuckets - 1;
-  if (sub < 0) sub = 0;
+  const int sub = static_cast<int>((frac - 0.5) * (2.0 * kSubBuckets));
   return exp2 * kSubBuckets + sub;
 }
 
 double LatencyHistogram::bucket_upper(int index) {
-  if (index == kZeroBucket) return 0.0;
   // Floor division so negative indices (sub-millisecond octaves) map back to
   // the right octave.
   int exp2 = index / kSubBuckets;
@@ -43,18 +42,52 @@ double LatencyHistogram::bucket_upper(int index) {
   return std::ldexp(frac, exp2);
 }
 
-void LatencyHistogram::record(double ms) {
-  ++buckets_[bucket_of(ms)];
-  moments_.add(ms);
+void LatencyHistogram::widen(std::int64_t lo, std::int64_t hi) {
+  const std::int64_t top = base_ + static_cast<std::int64_t>(counts_.size());
+  if (!counts_.empty()) {
+    // Grow by at least half the current span on the side that overflowed,
+    // so a stream drifting across octaves re-copies O(log n) times.
+    const std::int64_t pad =
+        std::max(kWindowHeadroom, (std::max(hi, top) - std::min(lo, base_)) / 2);
+    lo = lo < base_ ? lo - pad : base_;
+    hi = hi > top ? hi + pad : top;
+  } else {
+    lo -= kWindowHeadroom;
+    hi += kWindowHeadroom;
+  }
+  lo = std::max(lo, kMinIndex);
+  hi = std::min(hi, kMaxIndex + 1);
+  std::vector<std::uint64_t> grown(static_cast<std::size_t>(hi - lo), 0);
+  std::copy(counts_.begin(), counts_.end(),
+            grown.begin() + static_cast<std::ptrdiff_t>(base_ - lo));
+  counts_ = std::move(grown);
+  base_ = lo;
+}
+
+void LatencyHistogram::count_outside_window(int index) {
+  widen(index, static_cast<std::int64_t>(index) + 1);
+  ++counts_[static_cast<std::size_t>(index - base_)];
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (const auto& [index, n] : other.buckets_) buckets_[index] += n;
+  if (!other.counts_.empty()) {
+    const std::int64_t other_top =
+        other.base_ + static_cast<std::int64_t>(other.counts_.size());
+    if (other.base_ < base_ ||
+        other_top > base_ + static_cast<std::int64_t>(counts_.size()))
+      widen(other.base_, other_top);
+    const std::size_t at = static_cast<std::size_t>(other.base_ - base_);
+    for (std::size_t i = 0; i < other.counts_.size(); ++i)
+      counts_[at + i] += other.counts_[i];
+  }
+  zero_count_ += other.zero_count_;
   moments_.merge(other.moments_);
 }
 
 void LatencyHistogram::clear() {
-  buckets_.clear();
+  // Keeps the window: a cleared histogram usually sees the same range again.
+  std::fill(counts_.begin(), counts_.end(), 0);
+  zero_count_ = 0;
   moments_ = OnlineStats();
 }
 
@@ -70,11 +103,13 @@ double LatencyHistogram::percentile(double p) const {
       static_cast<std::uint64_t>(std::ceil(p / 100.0 * static_cast<double>(n)));
   if (rank < 1) rank = 1;
   if (rank > n) rank = n;
-  std::uint64_t seen = 0;
-  for (const auto& [index, cnt] : buckets_) {
-    seen += cnt;
+  // The zero bucket (upper edge 0) sorts below every other bucket.
+  std::uint64_t seen = zero_count_;
+  if (seen >= rank) return std::min(std::max(0.0, moments_.min()), moments_.max());
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    seen += counts_[i];
     if (seen >= rank) {
-      const double v = bucket_upper(index);
+      const double v = bucket_upper(static_cast<int>(base_ + static_cast<std::int64_t>(i)));
       return std::min(std::max(v, moments_.min()), moments_.max());
     }
   }

@@ -5,8 +5,8 @@
 // wall clock — so any instrumented run replays bit-for-bit. Histograms and
 // registries merge associatively; the engine merges per-cell instances in
 // fixed spec order, which is what keeps `--threads=1` and `--threads=8`
-// output byte-identical. Containers are std::map (ordered) on purpose:
-// iteration order is part of the determinism contract.
+// output byte-identical. Registry containers are std::map (ordered) on
+// purpose: iteration order is part of the determinism contract.
 //
 // Compile-time switch: building with -DULC_ENABLE_OBS=0 turns obs::enabled()
 // into a constexpr false, so every `obs::gate(ptr)` call site collapses to a
@@ -15,9 +15,11 @@
 // ops_microbench.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "util/json.h"
 #include "util/stats.h"
@@ -42,18 +44,39 @@ constexpr T* gate(T* p) {
 //
 // Buckets are log-linear: each power-of-two octave is split into kSubBuckets
 // equal slices, so the relative width of any bucket is at most 1/kSubBuckets
-// (~3.1%). Bucket selection uses frexp/ldexp and power-of-two arithmetic
-// only, so it is exact IEEE-754 — identical on every platform. Percentiles
+// (~3.1%). Bucket selection reads the IEEE-754 bits of the sample (frexp for
+// subnormals), so it is exact and identical on every platform. Percentiles
 // are nearest-rank: the rank is exact; the returned value is the upper edge
 // of the bucket holding that rank, clamped to the exact observed [min, max]
 // (so p0/p100 are exact and every quantile is within one bucket width of the
-// true order statistic). Non-positive samples (e.g. 0 ms local hits) land in
-// a dedicated zero bucket.
+// true order statistic). Non-positive and NaN samples (e.g. 0 ms local hits)
+// land in a dedicated zero bucket below every other; +inf has its own bucket
+// above every finite one.
+//
+// Layout: the counts live in one dense array over a window of consecutive
+// bucket indices that grows to cover each new index, plus the zero-bucket
+// count. Recording an in-window sample is a shift, a subtract, a bounds check
+// and an increment; the window only grows when a sample lands outside it
+// (it is bounded by the finite index range, about 67k buckets).
 class LatencyHistogram {
  public:
   static constexpr int kSubBuckets = 32;
 
-  void record(double ms);
+  void record(double ms) {
+    if (ms > 0.0) {
+      const int index = bucket_of(ms);
+      const std::size_t slot =
+          static_cast<std::size_t>(static_cast<std::int64_t>(index) - base_);
+      if (slot < counts_.size()) {
+        ++counts_[slot];
+      } else {
+        count_outside_window(index);
+      }
+    } else {
+      ++zero_count_;
+    }
+    moments_.add(ms);
+  }
   // Element-wise sum; merging is associative and commutative, but callers
   // must still merge in a fixed order when exact moment (mean/stddev)
   // reproducibility across merge shapes matters.
@@ -67,6 +90,10 @@ class LatencyHistogram {
   // Exact observed extrema; both require a non-empty histogram.
   double min() const { return moments_.min(); }
   double max() const { return moments_.max(); }
+  // The Welford accumulator over every recorded sample, in record order:
+  // bit-identical to an OnlineStats fed the same samples, so callers that
+  // report both need only one accumulator.
+  const OnlineStats& moments() const { return moments_; }
 
   // Nearest-rank percentile, p in [0, 100]; requires a non-empty histogram.
   double percentile(double p) const;
@@ -76,10 +103,26 @@ class LatencyHistogram {
   Json to_json() const;
 
  private:
-  static int bucket_of(double ms);
+  // Index of a sample > 0: octave * kSubBuckets + slice, exactly the
+  // exp2 * kSubBuckets + (frac - 0.5) * 2 * kSubBuckets of frexp.
+  static int bucket_of(double ms) {
+    static_assert(kSubBuckets == 32, "the slice is the mantissa's top 5 bits");
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(ms);
+    if ((bits >> 52) == 0) return subnormal_bucket_of(ms);
+    // Biased exponent e and the mantissa's top five bits side by side:
+    // (e - 1022) * 32 + (mantissa >> 47). For +inf this is one past the
+    // bucket of DBL_MAX.
+    return static_cast<int>(bits >> 47) - 1022 * kSubBuckets;
+  }
+  static int subnormal_bucket_of(double ms);
   static double bucket_upper(int index);
+  void count_outside_window(int index);
+  // Grows the window to cover [lo, hi) (plus headroom), keeping the counts.
+  void widen(std::int64_t lo, std::int64_t hi);
 
-  std::map<int, std::uint64_t> buckets_;
+  std::vector<std::uint64_t> counts_;  // counts_[i]: bucket base_ + i
+  std::int64_t base_ = 0;
+  std::uint64_t zero_count_ = 0;
   OnlineStats moments_;
 };
 

@@ -1,81 +1,52 @@
 #include "order/segmented_list.h"
 
+#include <algorithm>
+
 #include "util/ensure.h"
 
 namespace ulc {
+
+namespace {
+
+// Pre-size ceiling, as in UlcClient: past it both structures grow
+// organically, so a byte budget far above the block count stays cheap.
+constexpr std::uint64_t kReserveCap = std::uint64_t{1} << 20;
+
+}  // namespace
 
 SegmentedList::SegmentedList(std::vector<std::size_t> segment_capacities)
     : caps_(std::move(segment_capacities)),
       counts_(caps_.size(), 0),
       bytes_(caps_.size(), 0),
-      last_(caps_.size(), nullptr) {
+      last_(caps_.size(), kNullHandle) {
   ULC_REQUIRE(!caps_.empty(), "SegmentedList needs at least one segment");
-  for (std::size_t c : caps_) ULC_REQUIRE(c >= 1, "segment capacity must be >= 1");
-}
-
-SegmentedList::~SegmentedList() {
-  Node* n = head_;
-  while (n) {
-    Node* next = n->next;
-    delete n;
-    n = next;
+  std::uint64_t total = 1;  // a new key is linked before rebalance evicts
+  for (std::size_t c : caps_) {
+    ULC_REQUIRE(c >= 1, "segment capacity must be >= 1");
+    total = std::min<std::uint64_t>(total + std::min<std::uint64_t>(c, kReserveCap),
+                                    kReserveCap);
   }
-  n = free_list_;
-  while (n) {
-    Node* next = n->next;
-    delete n;
-    n = next;
-  }
+  index_.reserve(static_cast<std::size_t>(total));
+  slab_.reserve(static_cast<std::size_t>(total));
 }
 
-SegmentedList::Node* SegmentedList::alloc(Key key, SizeUnits size) {
-  Node* n;
-  if (free_list_) {
-    n = free_list_;
-    free_list_ = n->next;
-  } else {
-    n = new Node();
-  }
-  n->key = key;
-  n->size = size;
-  n->segment = 0;
-  n->prev = n->next = nullptr;
-  return n;
+void SegmentedList::enter_front_segment(SlabHandle h) {
+  Node& n = slab_[h];
+  n.segment = 0;
+  ++counts_[0];
+  bytes_[0] += n.size;
+  if (counts_[0] == 1) last_[0] = h;
 }
 
-void SegmentedList::free_node(Node* n) {
-  n->next = free_list_;
-  free_list_ = n;
-}
-
-void SegmentedList::unlink(Node* n) {
-  if (n->prev)
-    n->prev->next = n->next;
-  else
-    head_ = n->next;
-  if (n->next)
-    n->next->prev = n->prev;
-  else
-    tail_ = n->prev;
-  n->prev = n->next = nullptr;
-}
-
-void SegmentedList::link_front(Node* n) {
-  n->prev = nullptr;
-  n->next = head_;
-  if (head_) head_->prev = n;
-  head_ = n;
-  if (!tail_) tail_ = n;
-}
-
-void SegmentedList::detach_from_segment(Node* n) {
-  const std::size_t s = n->segment;
+void SegmentedList::detach_from_segment(SlabHandle h) {
+  const Node& n = slab_[h];
+  const std::size_t s = n.segment;
   --counts_[s];
-  bytes_[s] -= n->size;
-  if (last_[s] == n) {
+  bytes_[s] -= n.size;
+  if (last_[s] == h) {
     // With counts_[s] > 0 the predecessor is still in segment s (segments
-    // are contiguous and n was the segment's LRU-most node).
-    last_[s] = counts_[s] > 0 ? n->prev : nullptr;
+    // are contiguous and h was the segment's LRU-most node).
+    last_[s] = counts_[s] > 0 ? n.prev : kNullHandle;
   }
 }
 
@@ -85,25 +56,25 @@ void SegmentedList::rebalance(std::size_t from, AccessResult& out) {
     // sliding the segment's LRU-most block down until the budget holds. At
     // unit size this loop body runs at most once per boundary.
     while (bytes_[s] > caps_[s]) {
-      Node* m = last_[s];
-      detach_from_segment(m);
+      const SlabHandle h = last_[s];
+      detach_from_segment(h);
+      Node& m = slab_[h];
       if (s + 1 < caps_.size()) {
         // Slide m across the boundary: positionally it stays put; it
         // becomes the MRU-most member of segment s+1.
-        out.crossed.push_back(Crossing{s, m->key, m->size});
-        m->segment = s + 1;
+        out.crossed.push_back(Crossing{s, m.key, m.size});
+        m.segment = static_cast<std::uint32_t>(s + 1);
         ++counts_[s + 1];
-        bytes_[s + 1] += m->size;
-        if (counts_[s + 1] == 1) last_[s + 1] = m;
+        bytes_[s + 1] += m.size;
+        if (counts_[s + 1] == 1) last_[s + 1] = h;
       } else {
         // Overflow past the final segment: evict from the global LRU
         // position.
-        ULC_ENSURE(m == tail_, "final-segment LRU block must be the list tail");
-        out.evicted.push_back(m->key);
-        unlink(m);
-        index_.erase(m->key);
-        --size_;
-        free_node(m);
+        ULC_ENSURE(h == list_.back(), "final-segment LRU block must be the list tail");
+        out.evicted.push_back(m.key);
+        index_.erase(m.key);
+        list_.erase(h);
+        slab_.free(h);
       }
     }
   }
@@ -116,33 +87,29 @@ void SegmentedList::access(Key key, AccessResult& out, SizeUnits size) {
   out.evicted.clear();
   ULC_REQUIRE(size >= 1, "block size must be at least one unit");
 
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    Node* n = it->second;
-    const std::size_t old = n->segment;
+  const SlabHandle* found = index_.find(key);
+  if (found != nullptr) {
+    const SlabHandle h = *found;
+    const std::size_t old = slab_[h].segment;
     out.hit = true;
     out.old_segment = old;
-    if (old == 0 && head_ == n) {
+    if (old == 0 && list_.front() == h) {
       return;  // already MRU; nothing moves
     }
-    detach_from_segment(n);
-    unlink(n);
-    link_front(n);
-    n->segment = 0;
-    ++counts_[0];
-    bytes_[0] += n->size;
-    if (counts_[0] == 1) last_[0] = n;
+    detach_from_segment(h);
+    list_.move_front(h);
+    enter_front_segment(h);
     rebalance(0, out);
     return;
   }
 
-  Node* n = alloc(key, size);
-  link_front(n);
-  ++counts_[0];
-  bytes_[0] += size;
-  if (counts_[0] == 1) last_[0] = n;
-  index_.emplace(key, n);
-  ++size_;
+  const SlabHandle h = slab_.alloc();
+  Node& n = slab_[h];
+  n.key = key;
+  n.size = size;
+  list_.push_front(h);
+  enter_front_segment(h);
+  index_.insert_new(key, h);
   rebalance(0, out);
 }
 
@@ -152,21 +119,20 @@ bool SegmentedList::remove(Key key, AccessResult& out) {
   out.crossed.clear();
   out.evicted.clear();
 
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  Node* n = it->second;
-  out.old_segment = n->segment;
-  detach_from_segment(n);
-  unlink(n);
-  index_.erase(it);
-  --size_;
-  free_node(n);
+  const SlabHandle* found = index_.find(key);
+  if (found == nullptr) return false;
+  const SlabHandle h = *found;
+  out.old_segment = slab_[h].segment;
+  detach_from_segment(h);
+  index_.erase(key);
+  list_.erase(h);
+  slab_.free(h);
   return true;
 }
 
 std::size_t SegmentedList::segment_of(Key key) const {
-  auto it = index_.find(key);
-  return it == index_.end() ? kNoSegment : it->second->segment;
+  const SlabHandle* found = index_.find(key);
+  return found == nullptr ? kNoSegment : slab_[*found].segment;
 }
 
 bool SegmentedList::check_consistency() const {
@@ -174,29 +140,33 @@ bool SegmentedList::check_consistency() const {
   std::vector<std::size_t> counts(caps_.size(), 0);
   std::vector<std::uint64_t> bytes(caps_.size(), 0);
   std::size_t prev_segment = 0;
-  const Node* prev = nullptr;
-  for (const Node* n = head_; n; n = n->next) {
-    if (n->prev != prev) return false;
-    if (n->segment >= caps_.size()) return false;
-    if (n->segment < prev_segment) return false;  // segments must be contiguous
-    if (n->size < 1) return false;
-    prev_segment = n->segment;
-    ++counts[n->segment];
-    bytes[n->segment] += n->size;
-    auto it = index_.find(n->key);
-    if (it == index_.end() || it->second != n) return false;
+  SlabHandle prev = kNullHandle;
+  for (SlabHandle h = list_.front(); h != kNullHandle; h = list_.next(h)) {
+    const Node& n = slab_[h];
+    if (list_.prev(h) != prev) return false;
+    if (n.segment >= caps_.size()) return false;
+    if (n.segment < prev_segment) return false;  // segments must be contiguous
+    if (n.size < 1) return false;
+    prev_segment = n.segment;
+    ++counts[n.segment];
+    bytes[n.segment] += n.size;
+    const SlabHandle* indexed = index_.find(n.key);
+    if (indexed == nullptr || *indexed != h) return false;
     ++seen;
-    prev = n;
+    prev = h;
   }
-  if (prev != tail_) return false;
-  if (seen != size_ || index_.size() != size_) return false;
+  if (prev != list_.back()) return false;
+  if (seen != list_.size() || index_.size() != seen || slab_.live() != seen)
+    return false;
   for (std::size_t s = 0; s < caps_.size(); ++s) {
     if (counts[s] != counts_[s]) return false;
     if (bytes[s] != bytes_[s]) return false;
     if (bytes_[s] > caps_[s]) return false;  // the byte-capacity law
     if (counts_[s] > 0) {
-      if (!last_[s] || last_[s]->segment != s) return false;
-      if (last_[s]->next && last_[s]->next->segment == s) return false;
+      const SlabHandle last = last_[s];
+      if (last == kNullHandle || slab_[last].segment != s) return false;
+      const SlabHandle after = list_.next(last);
+      if (after != kNullHandle && slab_[after].segment == s) return false;
     }
   }
   return true;

@@ -10,11 +10,19 @@
 // count-capacity behaviour); sized blocks can push several blocks across a
 // boundary or off the bottom in a single access, so crossings and evictions
 // are reported as vectors in the order they happened.
+//
+// Storage has the LruPolicy shape (util/slab.h, util/flat_hash.h): one slab
+// node per resident key, linked by 32-bit handles, and a FlatMap index from
+// key to handle. Both are pre-sized to the total budget (capped, so a huge
+// byte budget does not pre-carve an absurd arena), so the steady-state
+// access path performs no allocation and no rehash.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
+
+#include "util/flat_hash.h"
+#include "util/slab.h"
 
 namespace ulc {
 
@@ -43,7 +51,6 @@ class SegmentedList {
   };
 
   explicit SegmentedList(std::vector<std::size_t> segment_capacities);
-  ~SegmentedList();
 
   SegmentedList(const SegmentedList&) = delete;
   SegmentedList& operator=(const SegmentedList&) = delete;
@@ -60,15 +67,21 @@ class SegmentedList {
   // variants that drop a block on read). Returns true if it was present.
   bool remove(Key key, AccessResult& out);
 
-  bool contains(Key key) const { return index_.find(key) != index_.end(); }
+  // Pulls `key`'s index group toward the cache ahead of an access to it.
+  // Non-mutating; part of the owning scheme's prefetch pipeline.
+  void prefetch(Key key) const { index_.prefetch(key); }
+
+  bool contains(Key key) const { return index_.contains(key); }
   // Segment of `key`, or kNoSegment if absent.
   std::size_t segment_of(Key key) const;
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return list_.size(); }
   std::size_t segment_count() const { return caps_.size(); }
   std::size_t segment_size(std::size_t s) const { return counts_[s]; }
   std::uint64_t segment_bytes(std::size_t s) const { return bytes_[s]; }
   std::size_t segment_capacity(std::size_t s) const { return caps_[s]; }
+  // Node slots carved so far (pre-sized at construction, grown on demand).
+  std::size_t reserved_nodes() const { return slab_.slot_count(); }
 
   // O(n) structural validation for tests.
   bool check_consistency() const;
@@ -77,27 +90,24 @@ class SegmentedList {
   struct Node {
     Key key;
     SizeUnits size;
-    std::size_t segment;
-    Node* prev;
-    Node* next;
+    std::uint32_t segment;
+    SlabHandle prev;
+    SlabHandle next;
   };
 
   std::vector<std::size_t> caps_;   // byte budgets, in SizeUnits
   std::vector<std::size_t> counts_;
   std::vector<std::uint64_t> bytes_;
   // last_[s]: LRU-most node of segment s; only meaningful when counts_[s] > 0.
-  std::vector<Node*> last_;
-  Node* head_ = nullptr;
-  Node* tail_ = nullptr;
-  std::size_t size_ = 0;
-  std::unordered_map<Key, Node*> index_;
-  Node* free_list_ = nullptr;
+  std::vector<SlabHandle> last_;
+  Slab<Node> slab_;
+  SlabList<Node> list_{&slab_};  // front = MRU
+  FlatMap<Key, SlabHandle> index_;
 
-  Node* alloc(Key key, SizeUnits size);
-  void free_node(Node* n);
-  void unlink(Node* n);
-  void link_front(Node* n);
-  void detach_from_segment(Node* n);
+  // Makes `h` the MRU-most node of segment 0 (it must already be linked at
+  // the list front).
+  void enter_front_segment(SlabHandle h);
+  void detach_from_segment(SlabHandle h);
   // Shifts overflow down across boundaries starting at segment `from`,
   // recording crossings; evicts from the final segment on overflow.
   void rebalance(std::size_t from, AccessResult& out);

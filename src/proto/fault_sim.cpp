@@ -530,9 +530,7 @@ FaultedProtocolResult run_faulted_protocol_sim(ProtocolScheme scheme_kind,
     ULC_REQUIRE(trace[i].client == 0, "fault sim takes a single-client trace");
     if (i == warmup) {
       result.base.stats.clear();
-      result.base.response_ms = OnlineStats{};
       result.base.response_hist.clear();
-      for (OnlineStats& s : result.phase_response_ms) s = OnlineStats{};
       for (obs::LatencyHistogram& h : result.phase_hist) h.clear();
       result.phase_references = {};
       measure_start = now;
@@ -678,9 +676,7 @@ FaultedProtocolResult run_faulted_protocol_sim(ProtocolScheme scheme_kind,
       }
     }
 
-    result.base.response_ms.add(completion - now);
     result.base.response_hist.record(completion - now);
-    result.phase_response_ms[phase_idx].add(completion - now);
     result.phase_hist[phase_idx].record(completion - now);
     if (rec) {
       const std::string name =
@@ -735,6 +731,9 @@ FaultedProtocolResult run_faulted_protocol_sim(ProtocolScheme scheme_kind,
       protocol_analytic_t_ave(proto, result.base.stats);
   result.measure_start_ms = measure_start;
   result.end_ms = now;
+  result.base.response_ms = result.base.response_hist.moments();
+  for (std::size_t p = 0; p < kFaultPhases; ++p)
+    result.phase_response_ms[p] = result.phase_hist[p].moments();
   return result;
 }
 

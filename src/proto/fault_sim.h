@@ -65,11 +65,12 @@ struct FaultedProtocolResult {
   ReliabilityStats reliability;  // whole-run totals (not reset at warmup)
   JournalStats journal;          // write-back pipeline + data-loss accounting
   // Response time split by the phase each reference started in (reset at
-  // warmup like base.response_ms).
-  std::array<OnlineStats, kFaultPhases> phase_response_ms;
-  // The same split, log-bucketed for tail percentiles (p50/p95/p99) — the
-  // degraded-mode tail the mean hides.
+  // warmup like base.response_hist), log-bucketed for tail percentiles
+  // (p50/p95/p99) — the degraded-mode tail the mean hides.
   std::array<obs::LatencyHistogram, kFaultPhases> phase_hist;
+  // The same split's moments: each phase_hist[p].moments(), copied out once
+  // at the end of the run.
+  std::array<OnlineStats, kFaultPhases> phase_response_ms;
   std::array<std::uint64_t, kFaultPhases> phase_references{};
   SimTime measure_start_ms = 0.0;
   SimTime end_ms = 0.0;  // final simulated time (for placing crashes)

@@ -115,7 +115,6 @@ MultiProtocolResult run_multi_protocol_sim(MultiLevelScheme& scheme,
 
     if (d.hit_level == 0 && d.demotions == 0) {
       if (measured) {
-        result.response_ms.add(0.0);
         result.response_hist.record(0.0);
         if (events)
           events->span("hit L0", "access", t_issue, 0.0, static_cast<int>(c),
@@ -133,7 +132,6 @@ MultiProtocolResult run_multi_protocol_sim(MultiLevelScheme& scheme,
 
     if (d.hit_level == 0) {
       if (measured) {
-        result.response_ms.add(0.0);
         result.response_hist.record(0.0);
         if (events)
           events->span("hit L0", "access", t_issue, 0.0, static_cast<int>(c),
@@ -158,7 +156,6 @@ MultiProtocolResult run_multi_protocol_sim(MultiLevelScheme& scheme,
         q.schedule(done, [&, c, t_issue, measured, server_hit, block,
                           access_index] {
           if (measured) {
-            result.response_ms.add(q.now() - t_issue);
             result.response_hist.record(q.now() - t_issue);
             if (events)
               events->span(server_hit ? "hit L1" : "miss", "access", t_issue,
@@ -198,6 +195,7 @@ MultiProtocolResult run_multi_protocol_sim(MultiLevelScheme& scheme,
   model.link_ms = {config.shared_lan.latency_ms + lan.transmission_ms(kBlockBytes),
                    config.disk_service_ms};
   result.analytic_t_ave_ms = compute_access_time(result.stats, model).total();
+  result.response_ms = result.response_hist.moments();
   return result;
 }
 

@@ -41,10 +41,12 @@ struct MultiProtocolConfig {
 
 struct MultiProtocolResult {
   std::string scheme;
-  // Response time per reference across all clients, after per-client warmup.
-  OnlineStats response_ms;
-  // Same samples, log-bucketed for percentiles (p50/p95/p99).
+  // Response time per reference across all clients, after per-client warmup,
+  // log-bucketed for percentiles (p50/p95/p99).
   obs::LatencyHistogram response_hist;
+  // The same samples' moments: response_hist.moments(), copied out once at
+  // the end of the run.
+  OnlineStats response_ms;
   HierarchyStats stats;  // post-warmup event counts
   double lan_down_utilization = 0.0;
   double lan_up_utilization = 0.0;

@@ -174,7 +174,6 @@ ProtocolResult run_protocol_sim(ProtocolScheme scheme, const ProtocolConfig& con
   for (std::size_t i = 0; i < trace.size(); ++i) {
     if (i == warmup) {
       result.stats.clear();
-      result.response_ms = OnlineStats{};
       result.response_hist.clear();
       measure_start = now;
       for (std::size_t l = 0; l < links.size(); ++l) {
@@ -212,7 +211,6 @@ ProtocolResult run_protocol_sim(ProtocolScheme scheme, const ProtocolConfig& con
     } else {
       ++result.stats.level_hits[d.hit_level];
     }
-    result.response_ms.add(completion - now);
     result.response_hist.record(completion - now);
     if (events) {
       const std::string name =
@@ -260,6 +258,7 @@ ProtocolResult run_protocol_sim(ProtocolScheme scheme, const ProtocolConfig& con
   result.disk_utilization = (disk_busy_total - disk_busy_at_start) / elapsed;
 
   result.analytic_t_ave_ms = protocol_analytic_t_ave(config, result.stats);
+  result.response_ms = result.response_hist.moments();
   return result;
 }
 

@@ -43,11 +43,13 @@ struct ProtocolConfig {
 
 struct ProtocolResult {
   ProtocolScheme scheme = ProtocolScheme::kUlc;
-  // Measured response time per reference (after warm-up).
-  OnlineStats response_ms;
-  // Same samples, log-bucketed for percentiles (p50/p95/p99). Keyed to sim
-  // time only; adding it does not perturb the simulation.
+  // Measured response time per reference (after warm-up), log-bucketed for
+  // percentiles (p50/p95/p99). Keyed to sim time only; recording it does not
+  // perturb the simulation.
   obs::LatencyHistogram response_hist;
+  // The same samples' moments: response_hist.moments(), copied out once at
+  // the end of the run.
+  OnlineStats response_ms;
   // Event counts (hits per level, misses, demotions) as in the trace runner.
   HierarchyStats stats;
   // Per-link utilization over the measured period: busy transmission time /

@@ -120,6 +120,9 @@ class Slab {
   // reserve-then-fill warm-up cannot be undone by an early release.
   void reserve(std::size_t n) {
     if (n > reserved_floor_) reserved_floor_ = n;
+    // One free-stack allocation for all the pages: carve_page's per-page
+    // reserve would otherwise re-copy the growing stack once per page.
+    if (slot_count() < n) free_.reserve(free_.size() + (n - slot_count()) + page_size_);
     while (slot_count() < n) carve_page();
   }
 

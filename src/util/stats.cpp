@@ -7,20 +7,6 @@
 
 namespace ulc {
 
-void OnlineStats::add(double x) {
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  if (count_ == 1) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-}
-
 void OnlineStats::merge(const OnlineStats& other) {
   if (other.count_ == 0) return;
   if (count_ == 0) {

@@ -1,6 +1,7 @@
 // Small statistics helpers shared by the simulator and the benches.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -16,7 +17,20 @@ namespace ulc {
 // convention (an empty sum), which is safe for additive aggregation.
 class OnlineStats {
  public:
-  void add(double x);
+  // Inline: it sits on every observed reference's path (obs/metrics.h).
+  void add(double x) {
+    ++count_;
+    sum_ += x;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+    if (count_ == 1) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+  }
   // Parallel Welford combine (Chan et al.); deterministic for a fixed merge
   // order — merge per-shard stats in a fixed order when byte-identical
   // output across thread counts matters.

@@ -342,6 +342,15 @@ TEST(Rules, HotContainerFiresInHotDirectories) {
                     "hot-container"));
 }
 
+TEST(Rules, HotContainerFiresInOrderStructures) {
+  EXPECT_TRUE(fires("src/order/segmented_list.h",
+                    R"__(std::unordered_map<Key, Node*> index_;)__", "hot-container"));
+  EXPECT_TRUE(fires("src/order/a.cpp", R"__(std::list<int> l;)__",
+                    "hot-container"));
+  EXPECT_FALSE(fires("src/order/a.cpp", R"__(FlatMap<Key, SlabHandle> index_;)__",
+                     "hot-container"));
+}
+
 TEST(Rules, HotContainerCleanOutsideAndForFlatStructures) {
   EXPECT_FALSE(fires("src/exp/a.cpp", R"__(std::unordered_map<int, int> m;)__",
                      "hot-container"));

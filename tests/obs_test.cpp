@@ -4,8 +4,14 @@
 // Chrome trace_event export (golden file), and the engine-level guarantees —
 // published counters match the run's HierarchyStats and the response-time
 // histogram's mean reproduces the analytic T_ave components it measures.
+#include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -17,6 +23,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "util/prng.h"
+#include "trace/size_table.h"
 #include "workloads/synthetic.h"
 
 namespace ulc {
@@ -131,6 +138,240 @@ TEST(LatencyHistogram, ClearResetsToEmpty) {
   h.clear();
   EXPECT_TRUE(h.empty());
   EXPECT_EQ(h.to_json().dump(), obs::LatencyHistogram().to_json().dump());
+}
+
+// ---- LatencyHistogram against the std::map layout it replaced ----
+
+// The std::map histogram that the dense-array layout replaced, kept as the
+// oracle. One deliberate deviation: the original truncated
+// (inf - 0.5) * 64 to int for +inf, which is undefined behaviour; here +inf
+// gets the bucket one past DBL_MAX's, as LatencyHistogram gives it.
+class MapHistogram {
+ public:
+  void record(double ms) {
+    ++buckets_[bucket_of(ms)];
+    moments_.add(ms);
+  }
+  void merge(const MapHistogram& other) {
+    for (const auto& [index, n] : other.buckets_) buckets_[index] += n;
+    moments_.merge(other.moments_);
+  }
+  const OnlineStats& moments() const { return moments_; }
+
+  double percentile(double p) const {
+    if (p == 0.0) return moments_.min();  // ulc-lint: allow(float-eq)
+    const std::uint64_t n = moments_.count();
+    std::uint64_t rank =
+        static_cast<std::uint64_t>(std::ceil(p / 100.0 * static_cast<double>(n)));
+    if (rank < 1) rank = 1;
+    if (rank > n) rank = n;
+    std::uint64_t seen = 0;
+    for (const auto& [index, cnt] : buckets_) {
+      seen += cnt;
+      if (seen >= rank) {
+        const double v = bucket_upper(index);
+        return std::min(std::max(v, moments_.min()), moments_.max());
+      }
+    }
+    return moments_.max();
+  }
+
+  Json to_json() const {
+    Json j = Json::object();
+    j.set("count", moments_.count());
+    if (moments_.empty()) {
+      for (const char* k : {"mean", "min", "max", "p50", "p95", "p99"}) j.set(k, nullptr);
+      return j;
+    }
+    j.set("mean", moments_.mean());
+    j.set("min", moments_.min());
+    j.set("max", moments_.max());
+    j.set("p50", percentile(50.0));
+    j.set("p95", percentile(95.0));
+    j.set("p99", percentile(99.0));
+    return j;
+  }
+
+ private:
+  static constexpr int kSub = obs::LatencyHistogram::kSubBuckets;
+  static constexpr int kZeroBucket = std::numeric_limits<int>::min();
+
+  static int bucket_of(double ms) {
+    if (!(ms > 0.0)) return kZeroBucket;
+    if (std::isinf(ms)) return 1025 * kSub;
+    int exp2 = 0;
+    const double frac = std::frexp(ms, &exp2);
+    int sub = static_cast<int>((frac - 0.5) * (2.0 * kSub));
+    if (sub >= kSub) sub = kSub - 1;
+    if (sub < 0) sub = 0;
+    return exp2 * kSub + sub;
+  }
+
+  static double bucket_upper(int index) {
+    if (index == kZeroBucket) return 0.0;
+    int exp2 = index / kSub;
+    int sub = index % kSub;
+    if (sub < 0) {
+      sub += kSub;
+      --exp2;
+    }
+    const double frac =
+        0.5 + 0.5 * static_cast<double>(sub + 1) / static_cast<double>(kSub);
+    return std::ldexp(frac, exp2);
+  }
+
+  std::map<int, std::uint64_t> buckets_;
+  OnlineStats moments_;
+};
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Count, min, max and mean bit for bit, every integer percentile, and the
+// JSON text.
+void expect_same(const obs::LatencyHistogram& h, const MapHistogram& ref,
+                 const std::string& what) {
+  ASSERT_EQ(h.count(), ref.moments().count()) << what;
+  EXPECT_EQ(h.to_json().dump(), ref.to_json().dump()) << what;
+  if (h.empty()) return;
+  EXPECT_EQ(bits_of(h.min()), bits_of(ref.moments().min())) << what;
+  EXPECT_EQ(bits_of(h.max()), bits_of(ref.moments().max())) << what;
+  EXPECT_EQ(bits_of(h.mean()), bits_of(ref.moments().mean())) << what;
+  for (int p = 0; p <= 100; ++p)
+    EXPECT_EQ(bits_of(h.percentile(p)), bits_of(ref.percentile(p)))
+        << what << " p" << p;
+}
+
+// Records `samples` into both layouts in three orders (as given, ascending,
+// descending), and also as three interleaved shards merged in two different
+// orders.
+void expect_same_for(std::vector<double> samples, const std::string& what) {
+  const auto by_value = [](double a, double b) {
+    // NaN sorts last so std::sort sees a strict weak order.
+    if (std::isnan(a) || std::isnan(b)) return !std::isnan(a) && std::isnan(b);
+    return a < b;
+  };
+  const bool extrema_order_free =
+      std::none_of(samples.begin(), samples.end(),
+                   [](double v) { return std::isnan(v) || bits_of(v) == bits_of(-0.0); });
+  for (int order = 0; order < 3; ++order) {
+    if (order == 1) std::stable_sort(samples.begin(), samples.end(), by_value);
+    if (order == 2) std::reverse(samples.begin(), samples.end());
+    const std::string tag = what + " order " + std::to_string(order);
+    obs::LatencyHistogram h;
+    MapHistogram ref;
+    for (double s : samples) {
+      h.record(s);
+      ref.record(s);
+    }
+    expect_same(h, ref, tag);
+    EXPECT_EQ(bits_of(h.moments().mean()), bits_of(h.mean())) << tag;
+
+    constexpr std::size_t kShards = 3;
+    std::vector<obs::LatencyHistogram> hs(kShards);
+    std::vector<MapHistogram> refs(kShards);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      hs[i % kShards].record(samples[i]);
+      refs[i % kShards].record(samples[i]);
+    }
+    std::string forward_json;
+    for (const bool forward : {true, false}) {
+      obs::LatencyHistogram merged;
+      MapHistogram merged_ref;
+      for (std::size_t k = 0; k < kShards; ++k) {
+        const std::size_t at = forward ? k : kShards - 1 - k;
+        merged.merge(hs[at]);
+        merged_ref.merge(refs[at]);
+      }
+      expect_same(merged, merged_ref, tag + (forward ? " merged fwd" : " merged rev"));
+      // Across merge orders only the Welford mean may move; the buckets are
+      // integers. The extrema are order-free too, unless a NaN or a -0.0 is
+      // among the samples: std::min/std::max then keep whichever came first,
+      // and every percentile is clamped to them.
+      EXPECT_EQ(merged.count(), h.count()) << tag;
+      if (!h.empty() && extrema_order_free) {
+        for (int p = 0; p <= 100; ++p)
+          EXPECT_EQ(bits_of(merged.percentile(p)), bits_of(h.percentile(p)))
+              << tag << " p" << p;
+      }
+    }
+  }
+}
+
+// 0, negatives, NaN, the infinities, subnormals, DBL_MIN and DBL_MAX.
+std::vector<double> special_values() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {0.0,
+          -0.0,
+          -1.0,
+          -3.5,
+          -DBL_MAX,
+          -inf,
+          std::numeric_limits<double>::quiet_NaN(),
+          inf,
+          std::numeric_limits<double>::denorm_min(),
+          DBL_MIN / 2.0,
+          std::nextafter(DBL_MIN, 0.0),
+          DBL_MIN,
+          DBL_MAX,
+          std::nextafter(DBL_MAX, 0.0)};
+}
+
+// Powers of two across the whole range, subnormal ones included.
+std::vector<double> powers_of_two(int step) {
+  std::vector<double> v;
+  for (int e = -1074; e <= 1023; e += step) v.push_back(std::ldexp(1.0, e));
+  return v;
+}
+
+// Exact bucket edges and their neighbours, in normal and subnormal octaves.
+std::vector<double> bucket_edges() {
+  constexpr int kSub = obs::LatencyHistogram::kSubBuckets;
+  std::vector<double> v;
+  for (int e = -1073; e <= 1024; e += 31) {
+    for (int k = 0; k < kSub; ++k) {
+      const double edge = std::ldexp(0.5 + 0.5 * k / static_cast<double>(kSub), e);
+      if (!std::isnormal(edge) && !(edge > 0.0)) continue;
+      if (std::isinf(edge)) continue;
+      v.push_back(edge);
+      v.push_back(std::nextafter(edge, 0.0));
+      v.push_back(std::nextafter(edge, std::numeric_limits<double>::infinity()));
+    }
+  }
+  return v;
+}
+
+TEST(LatencyHistogramOracle, EmptyMatchesMapLayout) {
+  expect_same(obs::LatencyHistogram(), MapHistogram(), "empty");
+}
+
+TEST(LatencyHistogramOracle, EachSpecialValueAloneAndAmongOrdinarySamples) {
+  std::vector<double> values = special_values();
+  for (double p : powers_of_two(97)) values.push_back(p);
+  for (double special : values) {
+    const std::string tag = std::to_string(bits_of(special));
+    expect_same_for({0.0, 0.2, 1.0, special, 1.2, 11.2, 0.2, special}, "among " + tag);
+    expect_same_for({special}, "alone " + tag);
+  }
+}
+
+TEST(LatencyHistogramOracle, AllSpecialValuesEdgesAndPowersTogether) {
+  std::vector<double> all = special_values();
+  for (double p : powers_of_two(13)) all.push_back(p);
+  for (double e : bucket_edges()) all.push_back(e);
+  // Without the NaN and the infinities the moments stay finite too.
+  std::vector<double> finite;
+  for (double s : all)
+    if (std::isfinite(s)) finite.push_back(s);
+  expect_same_for(all, "all");
+  expect_same_for(finite, "finite");
+}
+
+TEST(LatencyHistogramOracle, MillionLogUniformSamples) {
+  Rng rng(2004);
+  std::vector<double> samples(1000000);
+  // 1e-6 .. 1e6 ms: 40 octaves, about 1300 buckets.
+  for (double& s : samples) s = std::pow(10.0, rng.next_double() * 12.0 - 6.0);
+  expect_same_for(samples, "log-uniform");
 }
 
 // ---- MetricsRegistry ----
@@ -272,6 +513,75 @@ TEST(RunSchemeObs, CountersMatchStatsAndHistogramMeanMatchesTave) {
   const double expected =
       r.time.hit_component + r.time.miss_component + r.time.demotion_component;
   EXPECT_NEAR(hist->mean(), expected, 1e-9);
+}
+
+// With a size-proportional cost model each sample carries the per-unit
+// terms of its hit/miss and of the demotions it triggered, so the histogram
+// mean still equals t_ave_ms for every paper scheme on mixed-size blocks.
+TEST(RunSchemeObs, SizedCostModelHistogramMeanMatchesTave) {
+  Trace single = small_trace(600, 20000, 13);
+  stamp_sizes(single, assign_bimodal_sizes(0, 600, 1, 6, 0.25, 7));
+  std::vector<PatternPtr> clients;
+  for (std::uint64_t c = 0; c < 3; ++c)
+    clients.push_back(make_zipf_source(c * 200, 300, 0.9, true, 21 + c));
+  Trace multi = generate_multi(std::move(clients), {1.0, 1.0, 1.0}, 20000, 5, "multi");
+  stamp_sizes(multi, assign_heavy_tail_sizes(0, 900, 1.2, 16, 3));
+
+  const CostModel three = CostModel::sized(CostModel::paper_three_level(), 0.25);
+  const CostModel two = CostModel::sized(CostModel::paper_two_level(), 0.25);
+  struct Cell {
+    const char* name;
+    SchemePtr scheme;
+    const Trace* trace;
+    const CostModel* model;
+  };
+  Cell cells[] = {
+      {"ULC", make_ulc({64, 128, 256}), &single, &three},
+      {"uniLRU", make_uni_lru({64, 128, 256}), &single, &three},
+      {"indLRU", make_ind_lru({64, 128, 256}), &single, &three},
+      {"LRU+MQ", make_mq_hierarchy(64, 384, 1), &single, &two},
+      {"ULC-multi", make_ulc_multi(64, 256, 3), &multi, &two},
+  };
+  for (Cell& c : cells) {
+    obs::MetricsRegistry metrics;
+    RunObservation observe;
+    observe.metrics = &metrics;
+    const RunResult r = run_scheme(*c.scheme, *c.trace, *c.model, 0.1, observe);
+    ASSERT_TRUE(r.stats.sized) << c.name;
+    const obs::LatencyHistogram* hist = metrics.find_histogram("response_ms");
+    ASSERT_NE(hist, nullptr) << c.name;
+    EXPECT_GT(r.t_ave_ms, 0.0) << c.name;
+    EXPECT_LE(std::abs(hist->mean() - r.t_ave_ms), 1e-9 * r.t_ave_ms)
+        << c.name << ": mean " << hist->mean() << " vs t_ave_ms " << r.t_ave_ms;
+  }
+}
+
+// The observer reads stats() through one reference captured at the start of
+// the run, so a scheme's stats must be live. The client-private composite
+// sums its copies' counters; it re-sums after every access.
+TEST(RunSchemeObs, ClientPrivateStatsStayLiveForTheObserver) {
+  std::vector<PatternPtr> clients;
+  for (std::uint64_t c = 0; c < 2; ++c)
+    clients.push_back(make_zipf_source(c * 1000, 400, 0.9, true, 31 + c));
+  const Trace t = generate_multi(std::move(clients), {1.0, 2.0}, 12000, 9, "private");
+  const CostModel model = CostModel::paper_two_level();
+  const auto make = [] {
+    return make_client_private([] { return make_ulc({32, 64}); }, 2);
+  };
+  auto bare = make();
+  const RunResult plain = run_scheme(*bare, t, model, 0.1);
+
+  auto observed = make();
+  obs::MetricsRegistry metrics;
+  RunObservation observe;
+  observe.metrics = &metrics;
+  const RunResult r = run_scheme(*observed, t, model, 0.1, observe);
+  EXPECT_EQ(plain.stats.level_hits, r.stats.level_hits);
+  EXPECT_EQ(plain.stats.misses, r.stats.misses);
+  const obs::LatencyHistogram* hist = metrics.find_histogram("response_ms");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count(), r.stats.references);
+  EXPECT_NEAR(hist->mean(), r.t_ave_ms, 1e-9 * r.t_ave_ms);
 }
 
 TEST(RunSchemeObs, InstrumentedRunMatchesBareRun) {

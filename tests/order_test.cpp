@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
+#include <string>
 #include <vector>
 
 #include "order/order_statistic_list.h"
@@ -317,6 +319,166 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(3, 7, 11, 19),
                        ::testing::Values(std::size_t{1}, std::size_t{2},
                                          std::size_t{3}, std::size_t{5})));
+
+// ---- SegmentedList against a std::list reference ----
+
+// Each key carries its segment label explicitly; a segment's LRU-most key is
+// found by scanning from the tail. Same semantics as SegmentedList, written
+// the slow, obvious way.
+class ListReference {
+ public:
+  explicit ListReference(std::vector<std::size_t> caps)
+      : caps_(std::move(caps)), bytes_(caps_.size(), 0) {}
+
+  void access(std::uint64_t key, SegmentedList::AccessResult& out,
+              SegmentedList::SizeUnits size) {
+    reset(out);
+    auto it = find(key);
+    if (it != entries_.end()) {
+      out.hit = true;
+      out.old_segment = it->segment;
+      if (it->segment == 0 && it == entries_.begin()) return;
+      Entry e = *it;
+      bytes_[e.segment] -= e.size;
+      entries_.erase(it);
+      e.segment = 0;
+      entries_.push_front(e);
+    } else {
+      entries_.push_front(Entry{key, size, 0});
+    }
+    bytes_[0] += entries_.front().size;
+    for (std::size_t s = 0; s < caps_.size(); ++s) {
+      while (bytes_[s] > caps_[s]) {
+        auto last = std::prev(entries_.end());
+        while (last->segment != s) --last;
+        bytes_[s] -= last->size;
+        if (s + 1 < caps_.size()) {
+          out.crossed.push_back(SegmentedList::Crossing{s, last->key, last->size});
+          last->segment = s + 1;
+          bytes_[s + 1] += last->size;
+        } else {
+          out.evicted.push_back(last->key);
+          entries_.erase(last);
+        }
+      }
+    }
+  }
+
+  bool remove(std::uint64_t key, SegmentedList::AccessResult& out) {
+    reset(out);
+    auto it = find(key);
+    if (it == entries_.end()) return false;
+    out.old_segment = it->segment;
+    bytes_[it->segment] -= it->size;
+    entries_.erase(it);
+    return true;
+  }
+
+  std::size_t size() const { return entries_.size(); }
+  std::uint64_t segment_bytes(std::size_t s) const { return bytes_[s]; }
+  std::size_t segment_of(std::uint64_t key) const {
+    for (const Entry& e : entries_)
+      if (e.key == key) return e.segment;
+    return SegmentedList::kNoSegment;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t key;
+    SegmentedList::SizeUnits size;
+    std::size_t segment;
+  };
+
+  static void reset(SegmentedList::AccessResult& out) {
+    out.hit = false;
+    out.old_segment = SegmentedList::kNoSegment;
+    out.crossed.clear();
+    out.evicted.clear();
+  }
+  std::list<Entry>::iterator find(std::uint64_t key) {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [key](const Entry& e) { return e.key == key; });
+  }
+
+  std::vector<std::size_t> caps_;
+  std::vector<std::uint64_t> bytes_;
+  std::list<Entry> entries_;  // front = MRU
+};
+
+void expect_same_result(const SegmentedList::AccessResult& a,
+                        const SegmentedList::AccessResult& b, const std::string& at) {
+  ASSERT_EQ(a.hit, b.hit) << at;
+  ASSERT_EQ(a.old_segment, b.old_segment) << at;
+  ASSERT_EQ(a.crossed.size(), b.crossed.size()) << at;
+  for (std::size_t i = 0; i < a.crossed.size(); ++i) {
+    ASSERT_EQ(a.crossed[i].from, b.crossed[i].from) << at;
+    ASSERT_EQ(a.crossed[i].key, b.crossed[i].key) << at;
+    ASSERT_EQ(a.crossed[i].size, b.crossed[i].size) << at;
+  }
+  ASSERT_EQ(a.evicted, b.evicted) << at;
+}
+
+// Random churn over ~2x the budget's worth of keys, one remove() in ten.
+// With max_size > 1 the keys get sizes in [1, max_size] (fixed per key, as a
+// block's footprint is), and a few exceed the whole budget.
+void churn_against_reference(std::uint64_t seed, std::vector<std::size_t> caps,
+                             SegmentedList::SizeUnits max_size, int steps) {
+  Rng rng(seed);
+  std::uint64_t total = 0;
+  for (std::size_t c : caps) total += c;
+  SegmentedList list(caps);
+  ListReference ref(caps);
+  SegmentedList::AccessResult got, want;
+  const std::uint64_t keys = 2 * total / ((max_size + 1) / 2) + 2;
+  for (int step = 0; step < steps; ++step) {
+    const std::uint64_t key = rng.next_below(keys);
+    const std::string at = "seed " + std::to_string(seed) + " step " + std::to_string(step);
+    if (rng.next_below(10) == 0) {
+      ASSERT_EQ(list.remove(key, got), ref.remove(key, want)) << at;
+    } else {
+      const auto size = static_cast<SegmentedList::SizeUnits>(
+          max_size == 1 ? 1 : 1 + (key * 2654435761u) % (key % 50 == 0 ? total + 2 : max_size));
+      list.access(key, got, size);
+      ref.access(key, want, size);
+    }
+    expect_same_result(got, want, at);
+    ASSERT_TRUE(list.check_consistency()) << at;
+    ASSERT_EQ(list.size(), ref.size()) << at;
+    for (std::size_t s = 0; s < caps.size(); ++s)
+      ASSERT_EQ(list.segment_bytes(s), ref.segment_bytes(s)) << at;
+    if (step % 97 == 0) {
+      for (std::uint64_t k = 0; k < keys; ++k)
+        ASSERT_EQ(list.segment_of(k), ref.segment_of(k)) << at << " key " << k;
+    }
+  }
+}
+
+TEST(SegmentedListOracle, UnitSizeChurnMatchesListReference) {
+  churn_against_reference(1, {8}, 1, 4000);
+  churn_against_reference(2, {4, 8, 16}, 1, 6000);
+  churn_against_reference(3, {1, 1, 1, 1}, 1, 3000);
+  churn_against_reference(4, {32, 64}, 1, 8000);
+}
+
+TEST(SegmentedListOracle, SizedChurnMatchesListReference) {
+  churn_against_reference(5, {16}, 4, 4000);
+  churn_against_reference(6, {8, 16, 32}, 5, 6000);
+  churn_against_reference(7, {3, 5, 7}, 3, 6000);
+  churn_against_reference(8, {64, 64}, 9, 8000);
+}
+
+TEST(SegmentedListOracle, HugeByteBudgetDoesNotPreallocateInProportion) {
+  const std::size_t huge = std::size_t{1} << 40;
+  SegmentedList list({huge, huge, huge});
+  // Capped at 2^20 nodes (plus page rounding), not ~3 * 2^40.
+  EXPECT_LE(list.reserved_nodes(), (std::size_t{1} << 20) + 1024);
+  SegmentedList::AccessResult r;
+  for (std::uint64_t k = 0; k < 1000; ++k) list.access(k, r, 1u << 20);
+  EXPECT_EQ(list.size(), 1000u);
+  EXPECT_TRUE(list.check_consistency());
+  // A small budget is pre-sized to hold all of it.
+  EXPECT_GE(SegmentedList({100, 200}).reserved_nodes(), 301u);
+}
 
 }  // namespace
 }  // namespace ulc

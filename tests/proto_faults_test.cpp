@@ -322,6 +322,26 @@ TEST(FaultSim, CrashTripsBreakerAndRecovers) {
   EXPECT_EQ(total, r.base.stats.references);
 }
 
+// Every measured reference lands in exactly one phase stream; each phase's
+// moments are its histogram's, and together they reproduce the base stream.
+TEST(FaultSim, PhaseMomentsPartitionTheBaseStream) {
+  const Trace t = proto_trace();
+  const FaultedProtocolResult r =
+      run_faulted_protocol_sim(ProtocolScheme::kUlc, faulted_config(0.01, true), t);
+  EXPECT_EQ(r.base.response_ms.count(), r.base.stats.references);
+  EXPECT_TRUE(bitwise_equal(r.base.response_ms.mean(), r.base.response_hist.mean()));
+  double weighted = 0.0;
+  for (std::size_t p = 0; p < kFaultPhases; ++p) {
+    const OnlineStats& m = r.phase_response_ms[p];
+    EXPECT_EQ(m.count(), r.phase_references[p]) << p;
+    EXPECT_EQ(m.count(), r.phase_hist[p].count()) << p;
+    EXPECT_TRUE(bitwise_equal(m.mean(), r.phase_hist[p].mean())) << p;
+    weighted += m.mean() * static_cast<double>(m.count());
+  }
+  const double n = static_cast<double>(r.base.response_ms.count());
+  EXPECT_NEAR(weighted / n, r.base.response_ms.mean(), 1e-9 * r.base.response_ms.mean());
+}
+
 TEST(FaultSim, SameSeedSameResultAcrossThreadCounts) {
   const Trace t = proto_trace(12000);
   const std::vector<double> losses = {0.0, 0.01, 0.03, 0.05};
