@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <span>
 #include <thread>
 
 #include "util/ensure.h"
@@ -70,59 +69,6 @@ void parallel_for(std::size_t n, std::size_t threads,
   if (error) std::rethrow_exception(error);
 }
 
-namespace {
-
-// Splits one oversized cell into per-client subsequences, replays each
-// partition against a fresh scheme instance on up to `threads` workers, and
-// sums the per-partition counters in fixed partition order. Sound only for
-// schemes with zero cross-client state (supports_partitioned_replay() — the
-// caller checks) and exact by construction: each partition keeps its
-// requests in original trace order, resets stats after exactly the requests
-// that precede the serial run's warmup boundary, and the merge is pure
-// integer addition. Returns the same RunResult a serial run_scheme would.
-RunResult run_partitioned(const ExperimentSpec& spec, const Trace& trace,
-                          const MultiLevelScheme& probe, std::size_t threads) {
-  ULC_REQUIRE(spec.warmup_fraction >= 0.0 && spec.warmup_fraction < 1.0,
-              "warmup fraction must be in [0, 1)");
-  const std::vector<Request>& all = trace.requests();
-  ClientId max_client = 0;
-  for (const Request& r : all) max_client = std::max(max_client, r.client);
-  const std::size_t parts =
-      std::min<std::size_t>(threads, static_cast<std::size_t>(max_client) + 1);
-  // Deterministic split: client c rides partition c % parts, original order
-  // preserved within each partition. The serial warmup boundary (reset
-  // before reference `warmup`) maps to resetting each partition after its
-  // share of the first `warmup` references.
-  const std::size_t warmup = static_cast<std::size_t>(
-      spec.warmup_fraction * static_cast<double>(all.size()));
-  std::vector<std::vector<Request>> sub(parts);
-  std::vector<std::size_t> sub_warmup(parts, 0);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    const std::size_t p = all[i].client % parts;
-    if (i < warmup) ++sub_warmup[p];
-    sub[p].push_back(all[i]);
-  }
-  std::vector<HierarchyStats> part_stats(parts);
-  parallel_for(parts, parts, [&](std::size_t p) {
-    SchemePtr scheme = spec.factory(trace);
-    const std::span<const Request> reqs(sub[p]);
-    scheme->access_batch(reqs.first(sub_warmup[p]));
-    scheme->reset_stats();
-    scheme->access_batch(reqs.subspan(sub_warmup[p]));
-    part_stats[p] = scheme->stats();
-  });
-  RunResult result;
-  result.scheme = probe.name();
-  result.trace = trace.name();
-  result.stats.resize(0);
-  for (const HierarchyStats& s : part_stats) result.stats.merge_from(s);
-  result.time = compute_access_time(result.stats, spec.model);
-  result.t_ave_ms = result.time.total();
-  return result;
-}
-
-}  // namespace
-
 std::vector<CellResult> run_matrix(const std::vector<ExperimentSpec>& specs,
                                    const MatrixOptions& options) {
   TraceCache local_cache;
@@ -144,14 +90,8 @@ std::vector<CellResult> run_matrix(const std::vector<ExperimentSpec>& specs,
       cell.metrics = std::make_shared<obs::MetricsRegistry>();
       observe.metrics = cell.metrics.get();
     }
-    if (cell.metrics == nullptr && options.threads > 1 &&
-        trace.size() >= options.partition_min_references &&
-        trace.size() > 0 && scheme->supports_partitioned_replay()) {
-      cell.run = run_partitioned(spec, trace, *scheme, options.threads);
-    } else {
-      cell.run =
-          run_scheme(*scheme, trace, spec.model, spec.warmup_fraction, observe);
-    }
+    cell.run =
+        run_scheme(*scheme, trace, spec.model, spec.warmup_fraction, observe);
     cell.wall_seconds = timer.elapsed_seconds();
     cell.refs_per_sec = cell.wall_seconds > 0.0
                             ? static_cast<double>(trace.size()) / cell.wall_seconds

@@ -104,15 +104,6 @@ struct MatrixOptions {
   // Collect per-cell response-time histograms and counters (cheap: a few
   // vector compares per reference). observe=false restores the bare runner.
   bool observe = true;
-  // A cell at least this many references long whose scheme declares
-  // supports_partitioned_replay() is split into per-client subsequences and
-  // replayed on up to `threads` workers, each against a fresh scheme
-  // instance, with the per-partition counters summed in fixed partition
-  // order afterwards. Integer counters make that merge exact, so the cell's
-  // result is byte-identical to a serial replay at any thread count. Only
-  // engages with observe=false (the per-reference latency stream is
-  // inherently serial: its simulated clock interleaves all clients).
-  std::size_t partition_min_references = std::size_t{1} << 20;
 };
 
 // Executes every cell, using `options.threads` workers, and returns results

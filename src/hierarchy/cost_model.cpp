@@ -69,30 +69,6 @@ void HierarchyStats::clear() {
   sized = false;
 }
 
-namespace {
-void add_padded(std::vector<std::uint64_t>& into,
-                const std::vector<std::uint64_t>& from) {
-  if (from.size() > into.size()) into.resize(from.size(), 0);
-  for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
-}
-}  // namespace
-
-void HierarchyStats::merge_from(const HierarchyStats& other) {
-  add_padded(level_hits, other.level_hits);
-  add_padded(demotions, other.demotions);
-  add_padded(reloads, other.reloads);
-  add_padded(level_hit_bytes, other.level_hit_bytes);
-  add_padded(demotion_bytes, other.demotion_bytes);
-  add_padded(reload_bytes, other.reload_bytes);
-  misses += other.misses;
-  miss_bytes += other.miss_bytes;
-  references += other.references;
-  writebacks += other.writebacks;
-  eviction_notices += other.eviction_notices;
-  stale_syncs += other.stale_syncs;
-  sized = sized || other.sized;
-}
-
 double HierarchyStats::hit_ratio(std::size_t level) const {
   if (references == 0) return 0.0;
   return static_cast<double>(level_hits[level]) / static_cast<double>(references);

@@ -111,11 +111,6 @@ struct HierarchyStats {
 
   void resize(std::size_t levels);
   void clear();
-  // Element-wise counter sum (vectors padded to the longer operand). Pure
-  // integer addition, so merging per-partition stats in any fixed order
-  // reproduces a serial accumulation exactly — the foundation of
-  // exp::run_matrix's partitioned replay.
-  void merge_from(const HierarchyStats& other);
 
   double hit_ratio(std::size_t level) const;
   double total_hit_ratio() const;

@@ -3,7 +3,6 @@
 // reload, and ULC itself.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -45,13 +44,6 @@ class MultiLevelScheme {
       access(batch[i]);
     }
   }
-
-  // True when replaying the clients' request subsequences independently —
-  // each against a fresh copy of this scheme — and merging the per-client
-  // statistics reproduces a serial replay exactly. Only schemes with zero
-  // cross-client state (no shared levels) can claim this; exp::run_matrix
-  // uses it to split one oversized cell across worker threads.
-  virtual bool supports_partitioned_replay() const { return false; }
 
   // The returned reference stays valid for the scheme's lifetime and is
   // live: its counters reflect every access() and reset_stats() as soon as
@@ -139,9 +131,10 @@ class MultiLevelScheme {
   // ---- Write-back journal (ulc/writeback.h) ----
   //
   // Install (or clear, with nullptr) the durable-write sink. Schemes report
-  // every dirty block leaving the hierarchy through journal_write_back();
-  // with no sink installed the write-back is still narrated and counted,
-  // matching the legacy fire-and-forget cost model exactly.
+  // every dirty block leaving the hierarchy through their DirtyLedger
+  // (dirty_ledger.h), the only code that reaches the sink; with no sink
+  // installed the write-back is still narrated and counted, matching the
+  // legacy fire-and-forget cost model exactly.
   virtual void set_writeback_journal(WritebackSink* journal) {
     journal_ = journal;
   }
@@ -157,24 +150,8 @@ class MultiLevelScheme {
           AuditEvent{kind, block, from, to, owner, through_bottom, size});
   }
 
-  WritebackSink* writeback_journal() const { return journal_; }
-
-  // The single choke point for dirty data leaving the hierarchy: narrate
-  // the write-back (the auditor's D-laws key off this event) and enqueue it
-  // to the journal.
-  void journal_write_back(BlockId block, std::size_t from, SizeUnits size) const {
-    audit_emit(AuditEvent::Kind::kWriteback, block, from, kAuditNoLevel, 0,
-               false, size);
-    if (journal_ != nullptr) journal_->append(block, from, size);
-  }
-
-  // A dirty copy destroyed without a write-back (crash resync): report the
-  // loss so the fault harness can measure it.
-  void journal_record_loss(BlockId block, std::size_t from, SizeUnits size) const {
-    if (journal_ != nullptr) journal_->record_loss(block, from, size);
-  }
-
  private:
+  friend class DirtyLedger;  // narrates kWriteback and feeds journal_
   std::vector<AuditEvent>* audit_sink_ = nullptr;
   WritebackSink* journal_ = nullptr;
 };
@@ -231,14 +208,6 @@ SchemePtr make_ulc_multi_three(std::size_t client_cap, std::size_t server_cap,
 // ULC, single client, any number of levels. `temp_capacity` client buffers
 // (carved out of caps[0]) hold pass-through blocks (paper footnote 3).
 SchemePtr make_ulc(std::vector<std::size_t> caps, std::size_t temp_capacity = 0);
-
-// N fully-private single-client hierarchies side by side (one `per_client()`
-// instance per client, no shared levels): the no-sharing baseline. The only
-// factory whose schemes claim supports_partitioned_replay() — zero
-// cross-client state by construction, so exp::run_matrix may replay each
-// client's subsequence independently and merge the counters exactly.
-SchemePtr make_client_private(const std::function<SchemePtr()>& per_client,
-                              std::size_t n_clients);
 
 // ULC, multiple clients sharing one server (two levels): per-client engines
 // with an elastic second level, gLRU allocation at the server, delayed

@@ -8,9 +8,9 @@
 // demotions.
 #include <vector>
 
+#include "hierarchy/dirty_ledger.h"
 #include "hierarchy/hierarchy.h"
 #include "replacement/cache_policy.h"
-#include "util/flat_hash.h"
 #include "util/ensure.h"
 
 namespace ulc {
@@ -36,7 +36,7 @@ class PolicyServerScheme final : public MultiLevelScheme {
     AccessContext ctx;
     ctx.size = request.size;
 
-    if (request.op == Op::kWrite) dirty_.put(b, request.size);
+    if (request.op == Op::kWrite) dirty_.mark(b, request.size);
     if (client.touch(b, ctx)) {
       stats_.count_hit(0, request.size);
       return;
@@ -57,7 +57,7 @@ class PolicyServerScheme final : public MultiLevelScheme {
     ev.for_each([&](BlockId victim) {
       audit_emit(AuditEvent::Kind::kEvict, victim, 0, kAuditNoLevel,
                  request.client);
-      write_back_if_dirty(victim, 0);
+      dirty_.write_back(victim, 0);
     });
     if (ev.admitted) {
       audit_emit(AuditEvent::Kind::kPlace, b, kAuditNoLevel, 0, request.client,
@@ -65,7 +65,7 @@ class PolicyServerScheme final : public MultiLevelScheme {
     } else {
       // Uncacheable write (block bigger than the client cache): straight
       // through to disk.
-      write_back_if_dirty(b, 0);
+      dirty_.write_back(b, 0);
     }
   }
 
@@ -120,21 +120,9 @@ class PolicyServerScheme final : public MultiLevelScheme {
   }
 
  private:
-  // Write-back choke point: drops the dirty marking only after the
-  // write-back is narrated and journaled.
-  bool write_back_if_dirty(BlockId b, std::size_t from) {
-    const SizeUnits* size = dirty_.find(b);
-    if (size == nullptr) return false;
-    const SizeUnits bytes = *size;
-    dirty_.erase(b);
-    ++stats_.writebacks;
-    journal_write_back(b, from, bytes);
-    return true;
-  }
-
   std::vector<PolicyPtr> clients_;
   PolicyPtr server_;
-  FlatMap<BlockId, SizeUnits> dirty_;  // dirty block -> written size
+  DirtyLedger dirty_{*this, stats_};
   HierarchyStats stats_;
   std::string name_;
   bool auditable_;

@@ -8,9 +8,9 @@
 // is the problem.
 #include <vector>
 
+#include "hierarchy/dirty_ledger.h"
 #include "hierarchy/hierarchy.h"
 #include "order/segmented_list.h"
-#include "util/flat_hash.h"
 
 namespace ulc {
 
@@ -30,7 +30,7 @@ class ReloadUniLruScheme final : public MultiLevelScheme {
     } else {
       stats_.count_miss(request.size);
     }
-    if (request.op == Op::kWrite) dirty_.put(request.block, request.size);
+    if (request.op == Op::kWrite) dirty_.mark(request.block, request.size);
     // Boundary slides become disk reloads into the lower level rather than
     // network demotions. Note the catch for dirty blocks: a reload fetches
     // the *stale* on-disk copy, so dirty blocks must be written back before
@@ -41,10 +41,10 @@ class ReloadUniLruScheme final : public MultiLevelScheme {
       emit_events(request);
     } else {
       collect_slides();
-      for (const Slide& s : slides_) write_back_if_dirty(s.key, s.from);
+      for (const Slide& s : slides_) dirty_.write_back(s.key, s.from);
     }
     for (BlockId victim : result_.evicted)
-      write_back_if_dirty(victim, list_.segment_count() - 1);
+      dirty_.write_back(victim, list_.segment_count() - 1);
   }
 
   const HierarchyStats& stats() const override { return stats_; }
@@ -102,7 +102,7 @@ class ReloadUniLruScheme final : public MultiLevelScheme {
   // Same physical-order narration as uniLRU, except boundary slides are
   // kReload (disk re-read) rather than kDemote, each preceded by the
   // write-back the stale-copy rule forces for dirty blocks (emitted from
-  // the write-back choke point).
+  // the DirtyLedger).
   void emit_events(const Request& request) {
     if (result_.hit && result_.old_segment == 0) return;  // pure touch
     const BlockId block = request.block;
@@ -113,29 +113,17 @@ class ReloadUniLruScheme final : public MultiLevelScheme {
                request.size);
     collect_slides();
     for (const Slide& s : slides_) {
-      write_back_if_dirty(s.key, s.from);
+      dirty_.write_back(s.key, s.from);
       audit_emit(AuditEvent::Kind::kReload, s.key, s.from, s.to);
     }
     for (BlockId victim : result_.evicted)
       audit_emit(AuditEvent::Kind::kEvict, victim, list_.segment_count() - 1);
   }
 
-  // Write-back choke point: drops the dirty marking only after the
-  // write-back is narrated and journaled.
-  bool write_back_if_dirty(BlockId b, std::size_t from) {
-    const SizeUnits* size = dirty_.find(b);
-    if (size == nullptr) return false;
-    const SizeUnits bytes = *size;
-    dirty_.erase(b);
-    ++stats_.writebacks;
-    journal_write_back(b, from, bytes);
-    return true;
-  }
-
   SegmentedList list_;
   SegmentedList::AccessResult result_;
   std::vector<Slide> slides_;
-  FlatMap<BlockId, SizeUnits> dirty_;  // dirty block -> written size
+  DirtyLedger dirty_{*this, stats_};
   HierarchyStats stats_;
 };
 

@@ -15,10 +15,10 @@
 #include <memory>
 #include <vector>
 
+#include "hierarchy/dirty_ledger.h"
 #include "hierarchy/hierarchy.h"
 #include "ulc/glru_server.h"
 #include "ulc/ulc_client.h"
-#include "util/flat_hash.h"
 #include "util/ensure.h"
 
 namespace ulc {
@@ -63,15 +63,9 @@ class UlcSingleScheme final : public MultiLevelScheme {
     const UlcAccess& a = client_.access(request.block, request.size);
     if (request.op == Op::kWrite) {
       if (a.placed_level != kLevelOut) {
-        dirty_.put(request.block, request.size);
+        dirty_.mark(request.block, request.size);
       } else {
-        // Uncached write goes straight through to disk. The freshest data
-        // is on disk now, so any older dirty marking (a stale copy another
-        // client parked lower down) is superseded — writing it back later
-        // would clobber this newer version.
-        dirty_.erase(request.block);
-        ++stats_.writebacks;
-        journal_write_back(request.block, 0, request.size);
+        dirty_.write_through(request.block, request.size);  // uncached write
       }
     }
     if (a.temp_hit) {
@@ -99,7 +93,7 @@ class UlcSingleScheme final : public MultiLevelScheme {
     }
     if (auditing()) emit_events(request.block, a);
     for (const DemoteCmd& cmd : a.demotions) {
-      if (cmd.to == kLevelOut) write_back_if_dirty(cmd.block, cmd.from);
+      if (cmd.to == kLevelOut) dirty_.write_back(cmd.block, cmd.from);
     }
   }
 
@@ -177,9 +171,7 @@ class UlcSingleScheme final : public MultiLevelScheme {
     if (!client_.resync_evict(block, level)) return false;
     // The copy (and any dirty data) is gone: measured as loss, not written
     // back.
-    if (const SizeUnits* s = dirty_.find(block))
-      journal_record_loss(block, level, *s);
-    dirty_.erase(block);
+    dirty_.record_loss(block, level);
     audit_emit(AuditEvent::Kind::kLost, block, level);
     return true;
   }
@@ -188,8 +180,7 @@ class UlcSingleScheme final : public MultiLevelScheme {
     std::vector<BlockId> lost;
     const std::size_t n = client_.resync_wipe_level(level, &lost);
     for (BlockId b : lost) {
-      if (const SizeUnits* s = dirty_.find(b)) journal_record_loss(b, level, *s);
-      dirty_.erase(b);
+      dirty_.record_loss(b, level);
       audit_emit(AuditEvent::Kind::kLost, b, level);
     }
     return n;
@@ -223,21 +214,9 @@ class UlcSingleScheme final : public MultiLevelScheme {
                  0, /*through_bottom=*/false, a.retrieve.size);
   }
 
-  // Write-back choke point: drops the dirty marking only after the
-  // write-back is narrated and journaled.
-  bool write_back_if_dirty(BlockId b, std::size_t from) {
-    const SizeUnits* size = dirty_.find(b);
-    if (size == nullptr) return false;
-    const SizeUnits bytes = *size;
-    dirty_.erase(b);
-    ++stats_.writebacks;
-    journal_write_back(b, from, bytes);
-    return true;
-  }
-
   UlcClient client_;
   std::size_t temp_capacity_;
-  FlatMap<BlockId, SizeUnits> dirty_;  // dirty block -> written size
+  DirtyLedger dirty_{*this, stats_};
   HierarchyStats stats_;
 };
 
@@ -275,15 +254,9 @@ class UlcMultiScheme final : public MultiLevelScheme {
     const UlcAccess& a = client.access(request.block, request.size);
     if (request.op == Op::kWrite) {
       if (a.placed_level != kLevelOut) {
-        dirty_.put(request.block, request.size);
+        dirty_.mark(request.block, request.size);
       } else {
-        // Uncached write goes straight through to disk. The freshest data
-        // is on disk now, so any older dirty marking (a stale copy another
-        // client parked lower down) is superseded — writing it back later
-        // would clobber this newer version.
-        dirty_.erase(request.block);
-        ++stats_.writebacks;
-        journal_write_back(request.block, 0, request.size);
+        dirty_.write_through(request.block, request.size);  // uncached write
       }
     }
 
@@ -445,9 +418,7 @@ class UlcMultiScheme final : public MultiLevelScheme {
   bool resync_drop(ClientId client, BlockId block, std::size_t level) override {
     if (level == 0) {
       if (!clients_[client]->resync_evict(block, 0)) return false;
-      if (const SizeUnits* s = dirty_.find(block))
-        journal_record_loss(block, 0, *s);
-      dirty_.erase(block);
+      dirty_.record_loss(block, 0);
       audit_emit(AuditEvent::Kind::kLost, block, 0, kAuditNoLevel, client);
       return true;
     }
@@ -459,9 +430,7 @@ class UlcMultiScheme final : public MultiLevelScheme {
     }
     if (!had && !claimed) return false;
     if (had) {
-      if (const SizeUnits* s = dirty_.find(block))
-        journal_record_loss(block, 1, *s);
-      dirty_.erase(block);
+      dirty_.record_loss(block, 1);
       audit_emit(AuditEvent::Kind::kLost, block, 1);
     }
     return true;
@@ -472,16 +441,14 @@ class UlcMultiScheme final : public MultiLevelScheme {
     if (level == 0) {
       const std::size_t n = clients_[client]->resync_wipe_level(0, &lost);
       for (BlockId b : lost) {
-        if (const SizeUnits* s = dirty_.find(b)) journal_record_loss(b, 0, *s);
-        dirty_.erase(b);
+        dirty_.record_loss(b, 0);
         audit_emit(AuditEvent::Kind::kLost, b, 0, kAuditNoLevel, client);
       }
       return n;
     }
     const std::size_t n = server_.wipe(&lost);
     for (BlockId b : lost) {
-      if (const SizeUnits* s = dirty_.find(b)) journal_record_loss(b, 1, *s);
-      dirty_.erase(b);
+      dirty_.record_loss(b, 1);
       audit_emit(AuditEvent::Kind::kLost, b, 1);
     }
     for (auto& cl : clients_) cl->resync_wipe_level(1);
@@ -534,7 +501,7 @@ class UlcMultiScheme final : public MultiLevelScheme {
     }
     r.for_each([&](const GlruServer::Victim& v) {
       audit_emit(AuditEvent::Kind::kEvict, v.block, 1, kAuditNoLevel, v.owner);
-      write_back_if_dirty(v.block, 1);
+      dirty_.write_back(v.block, 1);
       ++stats_.eviction_notices;
       if (v.owner == owner) {
         // Local knowledge: the requester learns immediately.
@@ -552,23 +519,11 @@ class UlcMultiScheme final : public MultiLevelScheme {
   // dirty data is written straight through to disk.
   void unplace(BlockId block, ClientId c) {
     if (clients_[c]->level_of(block) == 1) clients_[c]->external_evict(block);
-    write_back_if_dirty(block, 0);
-  }
-
-  // Write-back choke point: drops the dirty marking only after the
-  // write-back is narrated and journaled.
-  bool write_back_if_dirty(BlockId b, std::size_t from) {
-    const SizeUnits* size = dirty_.find(b);
-    if (size == nullptr) return false;
-    const SizeUnits bytes = *size;
-    dirty_.erase(b);
-    ++stats_.writebacks;
-    journal_write_back(b, from, bytes);
-    return true;
+    dirty_.write_back(block, 0);
   }
 
   std::vector<std::unique_ptr<UlcClient>> clients_;
-  FlatMap<BlockId, SizeUnits> dirty_;  // dirty block -> written size
+  DirtyLedger dirty_{*this, stats_};
   GlruServer server_;
   std::vector<std::vector<BlockId>> pending_notices_;
   bool announced_full_ = false;

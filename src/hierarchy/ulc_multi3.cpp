@@ -13,10 +13,10 @@
 #include <memory>
 #include <vector>
 
+#include "hierarchy/dirty_ledger.h"
 #include "hierarchy/hierarchy.h"
 #include "ulc/glru_server.h"
 #include "ulc/ulc_client.h"
-#include "util/flat_hash.h"
 #include "util/ensure.h"
 
 namespace ulc {
@@ -56,15 +56,9 @@ class UlcMulti3Scheme final : public MultiLevelScheme {
     const UlcAccess& a = client.access(request.block, request.size);
     if (request.op == Op::kWrite) {
       if (a.placed_level != kLevelOut) {
-        dirty_.put(request.block, request.size);
+        dirty_.mark(request.block, request.size);
       } else {
-        // Uncached write goes straight through to disk. The freshest data
-        // is on disk now, so any older dirty marking (a stale copy another
-        // client parked lower down) is superseded — writing it back later
-        // would clobber this newer version.
-        dirty_.erase(request.block);
-        ++stats_.writebacks;
-        journal_write_back(request.block, 0, request.size);
+        dirty_.write_through(request.block, request.size);  // uncached write
       }
     }
 
@@ -170,9 +164,7 @@ class UlcMulti3Scheme final : public MultiLevelScheme {
   bool resync_drop(ClientId client, BlockId block, std::size_t level) override {
     if (level == 0) {
       if (!clients_[client]->resync_evict(block, 0)) return false;
-      if (const SizeUnits* s = dirty_.find(block))
-        journal_record_loss(block, 0, *s);
-      dirty_.erase(block);
+      dirty_.record_loss(block, 0);
       audit_emit(AuditEvent::Kind::kLost, block, 0, kAuditNoLevel, client);
       return true;
     }
@@ -185,9 +177,7 @@ class UlcMulti3Scheme final : public MultiLevelScheme {
     }
     if (!had && !claimed) return false;
     if (had) {
-      if (const SizeUnits* s = dirty_.find(block))
-        journal_record_loss(block, level, *s);
-      dirty_.erase(block);
+      dirty_.record_loss(block, level);
       audit_emit(AuditEvent::Kind::kLost, block, level);
     }
     return true;
@@ -198,8 +188,7 @@ class UlcMulti3Scheme final : public MultiLevelScheme {
     if (level == 0) {
       const std::size_t n = clients_[client]->resync_wipe_level(0, &lost);
       for (BlockId b : lost) {
-        if (const SizeUnits* s = dirty_.find(b)) journal_record_loss(b, 0, *s);
-        dirty_.erase(b);
+        dirty_.record_loss(b, 0);
         audit_emit(AuditEvent::Kind::kLost, b, 0, kAuditNoLevel, client);
       }
       return n;
@@ -207,8 +196,7 @@ class UlcMulti3Scheme final : public MultiLevelScheme {
     GlruServer& shared = level == 1 ? server_ : array_;
     const std::size_t n = shared.wipe(&lost);
     for (BlockId b : lost) {
-      if (const SizeUnits* s = dirty_.find(b)) journal_record_loss(b, level, *s);
-      dirty_.erase(b);
+      dirty_.record_loss(b, level);
       audit_emit(AuditEvent::Kind::kLost, b, level);
     }
     for (auto& cl : clients_) cl->resync_wipe_level(level);
@@ -370,7 +358,7 @@ class UlcMulti3Scheme final : public MultiLevelScheme {
                    /*through_bottom=*/false, v.size);
         audit_emit(AuditEvent::Kind::kEvict, v.block, 1, kAuditNoLevel,
                    v.owner, /*through_bottom=*/true);
-        write_back_if_dirty(v.block, 1);
+        dirty_.write_back(v.block, 1);
       } else {
         audit_emit(vr.merged ? AuditEvent::Kind::kDemoteMerge
                              : AuditEvent::Kind::kDemote,
@@ -387,7 +375,7 @@ class UlcMulti3Scheme final : public MultiLevelScheme {
     out.admitted = r.admitted;
     r.for_each([&](const GlruServer::Victim& v) {
       audit_emit(AuditEvent::Kind::kEvict, v.block, 2, kAuditNoLevel, v.owner);
-      write_back_if_dirty(v.block, 2);
+      dirty_.write_back(v.block, 2);
       ++stats_.eviction_notices;
       queue_notice(v.owner, v.block);
     });
@@ -404,19 +392,7 @@ class UlcMulti3Scheme final : public MultiLevelScheme {
   // data is written straight through to disk.
   void unplace(BlockId b, ClientId c) {
     drop_claim(b, c);
-    write_back_if_dirty(b, 0);
-  }
-
-  // Write-back choke point: drops the dirty marking only after the
-  // write-back is narrated and journaled.
-  bool write_back_if_dirty(BlockId b, std::size_t from) {
-    const SizeUnits* size = dirty_.find(b);
-    if (size == nullptr) return false;
-    const SizeUnits bytes = *size;
-    dirty_.erase(b);
-    ++stats_.writebacks;
-    journal_write_back(b, from, bytes);
-    return true;
+    dirty_.write_back(b, 0);
   }
 
   void queue_notice(ClientId owner, BlockId block) {
@@ -453,7 +429,7 @@ class UlcMulti3Scheme final : public MultiLevelScheme {
   GlruServer server_;
   GlruServer array_;
   std::vector<std::vector<BlockId>> pending_;
-  FlatMap<BlockId, SizeUnits> dirty_;  // dirty block -> written size
+  DirtyLedger dirty_{*this, stats_};
   HierarchyStats stats_;
 };
 

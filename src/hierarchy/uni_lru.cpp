@@ -15,6 +15,7 @@
 // the bench reports the best variant per workload, as the paper did).
 #include <vector>
 
+#include "hierarchy/dirty_ledger.h"
 #include "hierarchy/hierarchy.h"
 #include "order/order_statistic_list.h"
 #include "order/segmented_list.h"
@@ -52,7 +53,7 @@ class UniLruScheme final : public MultiLevelScheme {
     } else {
       stats_.count_miss(request.size);
     }
-    if (request.op == Op::kWrite) dirty_.put(request.block, request.size);
+    if (request.op == Op::kWrite) dirty_.mark(request.block, request.size);
     // Each boundary slide is one demotion transfer; the final evictions are
     // silent drops — unless a block is dirty, in which case it must be
     // written back to disk first.
@@ -60,7 +61,7 @@ class UniLruScheme final : public MultiLevelScheme {
       stats_.count_demote(c.from, c.size);
     if (auditing()) emit_events(request);
     for (BlockId victim : result_.evicted)
-      write_back_if_dirty(victim, list_.segment_count() - 1);
+      dirty_.write_back(victim, list_.segment_count() - 1);
   }
 
   // Pulls the block's group in the list's index and in the dirty map.
@@ -155,22 +156,10 @@ class UniLruScheme final : public MultiLevelScheme {
       audit_emit(AuditEvent::Kind::kEvict, victim, list_.segment_count() - 1);
   }
 
-  // Write-back choke point: drops the dirty marking only after the
-  // write-back is narrated and journaled.
-  bool write_back_if_dirty(BlockId b, std::size_t from) {
-    const SizeUnits* size = dirty_.find(b);
-    if (size == nullptr) return false;
-    const SizeUnits bytes = *size;
-    dirty_.erase(b);
-    ++stats_.writebacks;
-    journal_write_back(b, from, bytes);
-    return true;
-  }
-
   SegmentedList list_;
   SegmentedList::AccessResult result_;
   std::vector<Slide> slides_;
-  FlatMap<BlockId, SizeUnits> dirty_;  // dirty block -> written size
+  DirtyLedger dirty_{*this, stats_};
   HierarchyStats stats_;
 };
 
@@ -278,7 +267,7 @@ class UniLruMultiScheme final : public MultiLevelScheme {
     ctx.size = request.size;
     size_of_.put(b, request.size);  // id-stable; needed when b is demoted
 
-    if (request.op == Op::kWrite) dirty_.put(b, request.size);
+    if (request.op == Op::kWrite) dirty_.mark(b, request.size);
     if (client.touch(b, ctx)) {
       stats_.count_hit(0, request.size);
       return;
@@ -296,7 +285,7 @@ class UniLruMultiScheme final : public MultiLevelScheme {
     } else {
       // Uncacheable write: larger than the whole client budget, so the dirty
       // data goes straight to disk.
-      write_back_if_dirty(b, 0);
+      dirty_.write_back(b, 0);
     }
     // DEMOTE each client victim into the shared server cache, in eviction
     // order. With sized blocks one admission can push several victims out.
@@ -363,33 +352,21 @@ class UniLruMultiScheme final : public MultiLevelScheme {
       } else {
         audit_emit(AuditEvent::Kind::kEvict, v, 1);
       }
-      write_back_if_dirty(v, v == victim ? 0 : 1);
+      dirty_.write_back(v, v == victim ? 0 : 1);
     }
     if (!sev.admitted) {
       audit_emit(AuditEvent::Kind::kCharge, victim, 0, 1, owner,
                  /*through_bottom=*/false, victim_size);
       audit_emit(AuditEvent::Kind::kEvict, victim, 0, kAuditNoLevel, owner,
                  /*through_bottom=*/true);
-      write_back_if_dirty(victim, 0);
+      dirty_.write_back(victim, 0);
     }
-  }
-
-  // Write-back choke point: drops the dirty marking only after the
-  // write-back is narrated and journaled.
-  bool write_back_if_dirty(BlockId b, std::size_t from) {
-    const SizeUnits* size = dirty_.find(b);
-    if (size == nullptr) return false;
-    const SizeUnits bytes = *size;
-    dirty_.erase(b);
-    ++stats_.writebacks;
-    journal_write_back(b, from, bytes);
-    return true;
   }
 
   std::vector<PolicyPtr> clients_;
   ServerLru server_;
   UniLruInsertion insertion_;
-  FlatMap<BlockId, SizeUnits> dirty_;    // dirty block -> written size
+  DirtyLedger dirty_{*this, stats_};
   FlatMap<BlockId, SizeUnits> size_of_;  // id-stable block footprints
   std::vector<BlockId> server_victims_;
   HierarchyStats stats_;

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 
 namespace ulc {
@@ -180,6 +181,15 @@ std::optional<Trace> load_trace_binary(const std::string& path, std::string* err
     return std::nullopt;
   }
   const std::uint64_t count = get_u64(header + 8);
+  // The header count is untrusted: check it against the bytes actually on
+  // disk before it sizes any allocation.
+  std::error_code ec;
+  const std::uintmax_t file_size = std::filesystem::file_size(path, ec);
+  if (ec || count > (file_size - sizeof(header)) / record) {
+    set_error(error, "trace header claims " + std::to_string(count) +
+                         " records, more than the file holds: " + path);
+    return std::nullopt;
+  }
   Trace trace(path);
   trace.reserve(static_cast<std::size_t>(count));
   std::vector<std::uint8_t> buf(record * 4096);

@@ -239,94 +239,6 @@ TEST(RunMatrix, TraceOverrideAndSchemeRename) {
   EXPECT_GT(cells[0].run.stats.references, 0u);
 }
 
-// ---- Partitioned replay ----
-
-// A deterministic 4-client trace with per-client locality and writes; long
-// enough that the warmup boundary falls mid-stream for every client.
-std::shared_ptr<const Trace> multi_client_trace() {
-  Trace tr("partitioned");
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  for (int i = 0; i < 8000; ++i) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    const ClientId client = static_cast<ClientId>((x >> 33) % 4);
-    // Disjoint per-client block ranges with a hot set and a cold tail.
-    const BlockId base = static_cast<BlockId>(client) * 100000;
-    const BlockId block =
-        base + ((x >> 17) % ((x & 1) != 0 ? 64 : 600));
-    tr.add(block, client, (x >> 5) % 8 == 0 ? Op::kWrite : Op::kRead);
-  }
-  return std::make_shared<const Trace>(std::move(tr));
-}
-
-exp::ExperimentSpec client_private_spec(std::shared_ptr<const Trace> trace) {
-  exp::ExperimentSpec spec;
-  spec.factory = [](const Trace&) {
-    return make_client_private([] { return make_ulc({32, 64, 128}); }, 4);
-  };
-  spec.trace_override = std::move(trace);
-  spec.model = CostModel::paper_three_level();
-  return spec;
-}
-
-TEST(RunMatrix, PartitionedReplayIsByteIdenticalToSerial) {
-  const auto trace = multi_client_trace();
-  const std::vector<exp::ExperimentSpec> specs{client_private_spec(trace)};
-
-  // threads=1 never partitions: the serial reference.
-  exp::MatrixOptions serial;
-  serial.threads = 1;
-  serial.observe = false;
-  const auto one = exp::run_matrix(specs, serial);
-
-  // threads=8 with the threshold lowered partitions the cell per client.
-  exp::MatrixOptions parallel_opts;
-  parallel_opts.threads = 8;
-  parallel_opts.observe = false;
-  parallel_opts.partition_min_references = 1;
-  const auto eight = exp::run_matrix(specs, parallel_opts);
-
-  // And with the default (1M-reference) threshold the same 8-thread run
-  // replays serially — all three must serialize byte-for-byte.
-  exp::MatrixOptions unsplit;
-  unsplit.threads = 8;
-  unsplit.observe = false;
-  const auto eight_unsplit = exp::run_matrix(specs, unsplit);
-
-  EXPECT_EQ(deterministic_dump(one), deterministic_dump(eight));
-  EXPECT_EQ(deterministic_dump(one), deterministic_dump(eight_unsplit));
-  EXPECT_GT(one[0].run.stats.references, 0u);
-  EXPECT_EQ(one[0].run.scheme, "private(ULC)");
-}
-
-TEST(RunMatrix, PartitionedReplayNeverEngagesWhileObserving) {
-  // With metrics on the cell must take the serial path (the response_ms
-  // histogram's simulated clock interleaves all clients); the observed run
-  // still matches the unobserved counters exactly.
-  const auto trace = multi_client_trace();
-  const std::vector<exp::ExperimentSpec> specs{client_private_spec(trace)};
-  exp::MatrixOptions observed;
-  observed.threads = 8;
-  observed.observe = true;
-  observed.partition_min_references = 1;
-  const auto cells = exp::run_matrix(specs, observed);
-  exp::MatrixOptions serial;
-  serial.threads = 1;
-  serial.observe = false;
-  const auto reference = exp::run_matrix(specs, serial);
-  EXPECT_EQ(cells[0].run.stats.references, reference[0].run.stats.references);
-  EXPECT_EQ(cells[0].run.stats.level_hits, reference[0].run.stats.level_hits);
-  EXPECT_EQ(cells[0].run.stats.misses, reference[0].run.stats.misses);
-}
-
-TEST(Schemes, OnlyClientPrivateClaimsPartitionedReplay) {
-  EXPECT_TRUE(make_client_private([] { return make_ulc({32, 64}); }, 2)
-                  ->supports_partitioned_replay());
-  EXPECT_FALSE(make_ulc({32, 64})->supports_partitioned_replay());
-  EXPECT_FALSE(make_ulc_multi(32, 64, 2)->supports_partitioned_replay());
-  EXPECT_FALSE(make_ind_lru({32, 64}, 2)->supports_partitioned_replay());
-  EXPECT_FALSE(make_uni_lru({32, 64})->supports_partitioned_replay());
-}
-
 // ---- JSON schema golden file ----
 
 TEST(CellJson, MatchesGoldenFile) {

@@ -287,10 +287,6 @@ TEST(AccessBatch, EveryOverrideMatchesThePerAccessLoop) {
       {"ULC", [] { return make_ulc({64, 128, 256}); }},
       {"ULC-multi", [] { return make_ulc_multi(64, 256, 3); }},
       {"ULC-multi3", [] { return make_ulc_multi_three(64, 128, 256, 3); }},
-      {"private",
-       [] {
-         return make_client_private([] { return make_ulc({64, 128}); }, 3);
-       }},
   };
   for (const auto& [name, factory] : factories) {
     SchemePtr looped = factory();

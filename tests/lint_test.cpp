@@ -550,80 +550,6 @@ TEST(Rules, NarrationConstAndNonSchemeClean) {
                      "narration-completeness"));
 }
 
-// ---------- dirty-drop ------------------------------------------------------
-
-TEST(Rules, DirtyDropFiresOnSilentErase) {
-  EXPECT_TRUE(fires("src/hierarchy/a.cpp",
-                    R"__(class S : public MultiLevelScheme {
- public:
-  void evict(int b) { dirty_.erase(b); map_.erase(b); }
- private:
-  FlatSet<int> dirty_;
-  FlatMap<int, int> map_;
-};)__",
-                    "dirty-drop"));
-}
-
-TEST(Rules, DirtyDropCounterMentionStillFires) {
-  // Bumping the write-back counter is bookkeeping, not a write-back: only a
-  // call into the machinery (or being the machinery) clears the member.
-  EXPECT_TRUE(fires("src/hierarchy/a.cpp",
-                    R"__(class S : public MultiLevelScheme {
- public:
-  void evict(int b) { dirty_.erase(b); ++stats_.writebacks; }
- private:
-  FlatSet<int> dirty_;
-};)__",
-                    "dirty-drop"));
-}
-
-TEST(Rules, DirtyDropThroughPipelineClean) {
-  // The choke-point pattern: callers go through write_back_if_dirty (a
-  // machinery name, and the call itself counts for them), and the helper
-  // reaches journal_write_back.
-  EXPECT_FALSE(fires("src/hierarchy/a.cpp",
-                     R"__(class S : public MultiLevelScheme {
- public:
-  void evict(int b) { write_back_if_dirty(b, 0); map_.erase(b); }
- private:
-  bool write_back_if_dirty(int b, int from) {
-    dirty_.erase(b);
-    journal_write_back(b, from, 1);
-    return true;
-  }
-  FlatSet<int> dirty_;
-  FlatMap<int, int> map_;
-};)__",
-                     "dirty-drop"));
-}
-
-TEST(Rules, DirtyDropAllowMarkedClean) {
-  // A provably clean drop (the data just went to disk by other means) can
-  // be allow-marked in place.
-  EXPECT_FALSE(fires("src/hierarchy/a.cpp",
-                     R"__(class S : public MultiLevelScheme {
- public:
-  void forget(int b) {
-    dirty_.erase(b);  // ulc-lint: allow(dirty-drop)
-  }
- private:
-  FlatSet<int> dirty_;
-};)__",
-                     "dirty-drop"));
-}
-
-TEST(Rules, DirtyDropOutOfScopeClean) {
-  // Outside src/hierarchy + src/ulc the member name carries no contract.
-  EXPECT_FALSE(fires("src/runtime/a.cpp",
-                     R"__(class C {
- public:
-  void drop(int b) { dirty_.erase(b); }
- private:
-  FlatSet<int> dirty_;
-};)__",
-                     "dirty-drop"));
-}
-
 // ---------- lock-order ------------------------------------------------------
 
 TEST(Rules, LockOrderFiresOnNestedGuards) {

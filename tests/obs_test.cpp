@@ -556,34 +556,6 @@ TEST(RunSchemeObs, SizedCostModelHistogramMeanMatchesTave) {
   }
 }
 
-// The observer reads stats() through one reference captured at the start of
-// the run, so a scheme's stats must be live. The client-private composite
-// sums its copies' counters; it re-sums after every access.
-TEST(RunSchemeObs, ClientPrivateStatsStayLiveForTheObserver) {
-  std::vector<PatternPtr> clients;
-  for (std::uint64_t c = 0; c < 2; ++c)
-    clients.push_back(make_zipf_source(c * 1000, 400, 0.9, true, 31 + c));
-  const Trace t = generate_multi(std::move(clients), {1.0, 2.0}, 12000, 9, "private");
-  const CostModel model = CostModel::paper_two_level();
-  const auto make = [] {
-    return make_client_private([] { return make_ulc({32, 64}); }, 2);
-  };
-  auto bare = make();
-  const RunResult plain = run_scheme(*bare, t, model, 0.1);
-
-  auto observed = make();
-  obs::MetricsRegistry metrics;
-  RunObservation observe;
-  observe.metrics = &metrics;
-  const RunResult r = run_scheme(*observed, t, model, 0.1, observe);
-  EXPECT_EQ(plain.stats.level_hits, r.stats.level_hits);
-  EXPECT_EQ(plain.stats.misses, r.stats.misses);
-  const obs::LatencyHistogram* hist = metrics.find_histogram("response_ms");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count(), r.stats.references);
-  EXPECT_NEAR(hist->mean(), r.t_ave_ms, 1e-9 * r.t_ave_ms);
-}
-
 TEST(RunSchemeObs, InstrumentedRunMatchesBareRun) {
   const Trace t = small_trace(256, 8000, 9);
   const CostModel model = CostModel::paper_two_level();

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "trace/trace.h"
 #include "trace/trace_io.h"
@@ -63,6 +65,21 @@ TEST(TraceStats, CountsUniqueSharedAndClients) {
   EXPECT_EQ(s.shared_blocks, 2u);  // 10 and 20 touched by both clients
 }
 
+// Writes `magic`, a little-endian record count, then `body_bytes` bytes of
+// 0x01 (every field nonzero, so any whole v1/v2/v3 record parses): the shape
+// of a ULCTRC file whose header may lie about its body.
+void write_binary(const std::string& path, const char* magic,
+                  std::uint64_t count, std::size_t body_bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(magic, 1, 8, f);
+  for (int i = 0; i < 8; ++i)
+    std::fputc(static_cast<int>((count >> (8 * i)) & 0xff), f);
+  const std::vector<char> body(body_bytes, 1);
+  if (!body.empty()) std::fwrite(body.data(), 1, body.size(), f);
+  std::fclose(f);
+}
+
 class TraceIoTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -121,6 +138,53 @@ TEST_F(TraceIoTest, BinaryRejectsWrongMagic) {
   std::fclose(f);
   std::string err;
   EXPECT_FALSE(load_trace_binary(path_, &err).has_value());
+  // A near-miss magic over a body whose count and length are consistent
+  // for v3.
+  write_binary(path_, "ULCTRC09", 1, 17);
+  EXPECT_FALSE(load_trace_binary(path_, &err).has_value());
+  EXPECT_NE(err.find("not a ULC binary trace"), std::string::npos) << err;
+}
+
+TEST_F(TraceIoTest, BinaryRejectsHugeHeaderCounts) {
+  // A bare 16-byte header claiming 2^60 (length_error) or 2^33 (bad_alloc)
+  // records must fail with a message, not abort in reserve().
+  path_ = ::testing::TempDir() + "/ulc_trace_huge.bin";
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 60, std::uint64_t{1} << 33}) {
+    write_binary(path_, "ULCTRC03", count, 0);
+    std::string err;
+    EXPECT_FALSE(load_trace_binary(path_, &err).has_value()) << count;
+    EXPECT_NE(err.find("claims"), std::string::npos) << err;
+  }
+}
+
+TEST_F(TraceIoTest, BinaryRejectsCountOneBeyondTheBody) {
+  // Per format version: a body of exactly three records loads; the same
+  // body under a header claiming four is rejected.
+  path_ = ::testing::TempDir() + "/ulc_trace_short.bin";
+  const std::pair<const char*, std::size_t> formats[] = {
+      {"ULCTRC01", 12}, {"ULCTRC02", 13}, {"ULCTRC03", 17}};
+  for (const auto& [magic, record] : formats) {
+    SCOPED_TRACE(magic);
+    std::string err;
+    write_binary(path_, magic, 3, 3 * record);
+    const auto loaded = load_trace_binary(path_, &err);
+    ASSERT_TRUE(loaded.has_value()) << err;
+    EXPECT_EQ(loaded->size(), 3u);
+    write_binary(path_, magic, 4, 3 * record);
+    EXPECT_FALSE(load_trace_binary(path_, &err).has_value());
+    EXPECT_NE(err.find("claims"), std::string::npos) << err;
+  }
+}
+
+TEST_F(TraceIoTest, BinaryRejectsZeroLengthFile) {
+  path_ = ::testing::TempDir() + "/ulc_trace_empty.bin";
+  std::FILE* f = std::fopen(path_.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  std::string err;
+  EXPECT_FALSE(load_trace_binary(path_, &err).has_value());
+  EXPECT_NE(err.find("not a ULC binary trace"), std::string::npos) << err;
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // dirty blocks leaving the hierarchy must be written back to disk.
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "hierarchy/dirty_ledger.h"
 #include "hierarchy/hierarchy.h"
 #include "hierarchy/runner.h"
 #include "proto/journal.h"
@@ -266,6 +269,224 @@ TEST(Journal, SchemeWritebacksAllReachTheJournal) {
   }
 }
 
+// ---- The dirty-data contract, pinned across every dirty-tracking scheme ----
+
+struct DirtyCase {
+  const char* label;
+  std::function<SchemePtr()> make;
+  // Levels a resync can find the dirty copy at (ULC family only; empty for
+  // schemes without a client directory).
+  std::vector<std::size_t> resync_levels;
+};
+
+std::vector<DirtyCase> dirty_cases() {
+  return {
+      {"indLRU", [] { return make_ind_lru({8, 8}); }, {}},
+      {"LRU+MQ", [] { return make_mq_hierarchy(8, 8, 1); }, {}},
+      {"reloadLRU", [] { return make_reload_uni_lru({8, 8}); }, {}},
+      {"uniLRU", [] { return make_uni_lru({8, 8}); }, {}},
+      {"uniLRU-multi",
+       [] { return make_uni_lru_multi(8, 8, 1, UniLruInsertion::kMru); }, {}},
+      {"ULC", [] { return make_ulc({8, 8}); }, {0, 1}},
+      {"ULC-multi", [] { return make_ulc_multi(8, 8, 1); }, {0, 1}},
+      {"ULC-multi3",
+       [] { return make_ulc_multi_three(8, 8, 8, 1); }, {0, 1, 2}},
+  };
+}
+
+constexpr BlockId kDirtyBlock = 7;
+constexpr SizeUnits kDirtySize = 3;
+
+// A scheme wired to an audit sink and a synchronous journal.
+struct Harness {
+  SchemePtr scheme;
+  std::vector<AuditEvent> events;
+  WritebackJournal journal;
+
+  explicit Harness(const DirtyCase& c) : scheme(c.make()) {
+    scheme->set_audit_sink(&events);
+    scheme->set_writeback_journal(&journal);
+  }
+
+  void write_dirty_block() {
+    scheme->access(Request{kDirtyBlock, 0, Op::kWrite, kDirtySize});
+  }
+  void read(BlockId b) { scheme->access(Request{b, 0, Op::kRead, 1}); }
+  // Clean traffic: a loop over blocks the dirty block never shares, several
+  // times the hierarchy's capacity, repeated so recency-ranked schemes keep
+  // moving blocks down.
+  void churn() {
+    for (int pass = 0; pass < 4; ++pass)
+      for (BlockId b = 100; b < 160; ++b) read(b);
+  }
+  std::vector<std::size_t> levels_of(BlockId b) const {
+    std::vector<std::size_t> out;
+    scheme->audit_resident_levels(0, b, out);
+    return out;
+  }
+  std::size_t count(AuditEvent::Kind kind) const {
+    std::size_t n = 0;
+    for (const AuditEvent& e : events) n += e.kind == kind ? 1 : 0;
+    return n;
+  }
+};
+
+TEST(DirtyContract, DirtyBlockLeavesWithExactlyOneWriteback) {
+  for (const DirtyCase& c : dirty_cases()) {
+    SCOPED_TRACE(c.label);
+    Harness h(c);
+    h.write_dirty_block();
+    h.churn();
+    EXPECT_TRUE(h.levels_of(kDirtyBlock).empty()) << "dirty block never left";
+    // One kWriteback narration and one journal append, both for the dirty
+    // block and both carrying its written size; the clean loop adds neither.
+    ASSERT_EQ(h.count(AuditEvent::Kind::kWriteback), 1u);
+    for (const AuditEvent& e : h.events) {
+      if (e.kind != AuditEvent::Kind::kWriteback) continue;
+      EXPECT_EQ(e.block, kDirtyBlock);
+      EXPECT_EQ(e.size, kDirtySize);
+    }
+    ASSERT_EQ(h.journal.entries().size(), 1u);
+    EXPECT_EQ(h.journal.entries()[0].block, kDirtyBlock);
+    EXPECT_EQ(h.journal.entries()[0].size, kDirtySize);
+    EXPECT_EQ(h.scheme->stats().writebacks, 1u);
+    EXPECT_EQ(h.journal.stats().dirty_lost, 0u);
+  }
+}
+
+TEST(DirtyContract, CleanBlocksLeaveWithoutWriteback) {
+  for (const DirtyCase& c : dirty_cases()) {
+    SCOPED_TRACE(c.label);
+    Harness h(c);
+    h.read(kDirtyBlock);
+    h.churn();
+    EXPECT_EQ(h.count(AuditEvent::Kind::kWriteback), 0u);
+    EXPECT_EQ(h.journal.stats().appended, 0u);
+    EXPECT_EQ(h.scheme->stats().writebacks, 0u);
+  }
+}
+
+// Writes the dirty block, then loops over hot blocks — enough to fill the
+// levels above `level` (8 units each), too few to push the dirty block
+// below it — until the block's topmost copy sits at `level`.
+bool drive_dirty_block_to(Harness& h, std::size_t level) {
+  h.write_dirty_block();
+  const BlockId hot = level == 0 ? 1 : 6 + 8 * (level - 1);
+  for (BlockId i = 0; i < 200; ++i) {
+    const std::vector<std::size_t> at = h.levels_of(kDirtyBlock);
+    if (!at.empty() && at.front() == level) return true;
+    h.read(1000 + i % hot);
+  }
+  return false;
+}
+
+// Resync destroys a dirty copy without writing it back: the journal counts
+// a loss of the written size, never an append, and the dirty marking is
+// gone for good — re-reading the block and pushing it out again must not
+// write it back.
+void expect_lost_not_written(Harness& h, std::size_t level) {
+  SCOPED_TRACE(::testing::Message() << "level " << level);
+  EXPECT_EQ(h.journal.stats().dirty_lost, 1u);
+  EXPECT_EQ(h.journal.stats().dirty_lost_bytes, kDirtySize);
+  h.scheme->access(Request{kDirtyBlock, 0, Op::kRead, kDirtySize});
+  h.churn();
+  EXPECT_TRUE(h.levels_of(kDirtyBlock).empty());
+  EXPECT_EQ(h.count(AuditEvent::Kind::kWriteback), 0u);
+  EXPECT_EQ(h.journal.stats().appended, 0u);
+  EXPECT_EQ(h.scheme->stats().writebacks, 0u);
+}
+
+TEST(DirtyContract, ResyncDropCountsDirtyLossNotWriteback) {
+  for (const DirtyCase& c : dirty_cases()) {
+    SCOPED_TRACE(c.label);
+    for (const std::size_t level : c.resync_levels) {
+      Harness h(c);
+      ASSERT_TRUE(drive_dirty_block_to(h, level)) << "level " << level;
+      ASSERT_TRUE(h.scheme->resync_drop(0, kDirtyBlock, level))
+          << "level " << level;
+      EXPECT_EQ(h.count(AuditEvent::Kind::kLost), 1u) << "level " << level;
+      expect_lost_not_written(h, level);
+    }
+  }
+}
+
+TEST(DirtyContract, ResyncLevelCountsDirtyLossNotWriteback) {
+  for (const DirtyCase& c : dirty_cases()) {
+    SCOPED_TRACE(c.label);
+    for (const std::size_t level : c.resync_levels) {
+      Harness h(c);
+      ASSERT_TRUE(drive_dirty_block_to(h, level)) << "level " << level;
+      EXPECT_GE(h.scheme->resync_level(0, level), 1u) << "level " << level;
+      expect_lost_not_written(h, level);
+    }
+  }
+}
+
+// The ledger on its own, outside any scheme's eviction path. Any scheme can
+// stand in as the owner: the ledger only borrows its audit sink and journal.
+struct LedgerHarness {
+  SchemePtr owner = make_uni_lru({4, 4});
+  std::vector<AuditEvent> events;
+  WritebackJournal journal;
+  HierarchyStats stats;
+  DirtyLedger ledger{*owner, stats};
+
+  LedgerHarness() {
+    owner->set_audit_sink(&events);
+    owner->set_writeback_journal(&journal);
+  }
+};
+
+TEST(DirtyLedger, RemarkedBlockWritesBackOnceAtItsLatestSize) {
+  LedgerHarness h;
+  h.ledger.mark(7, 2);
+  h.ledger.mark(7, 5);
+  h.ledger.write_back(7, 1);
+  h.ledger.write_back(7, 1);  // already clean: one probe, nothing emitted
+  h.ledger.write_back(8, 0);  // never dirty
+  EXPECT_EQ(h.stats.writebacks, 1u);
+  ASSERT_EQ(h.events.size(), 1u);
+  EXPECT_EQ(h.events[0].kind, AuditEvent::Kind::kWriteback);
+  EXPECT_EQ(h.events[0].block, 7u);
+  EXPECT_EQ(h.events[0].from, 1u);
+  EXPECT_EQ(h.events[0].size, 5u);
+  ASSERT_EQ(h.journal.entries().size(), 1u);
+  EXPECT_EQ(h.journal.entries()[0].level, 1u);
+  EXPECT_EQ(h.journal.entries()[0].size, 5u);
+}
+
+TEST(DirtyLedger, WriteThroughSupersedesAnOlderDirtyMarking) {
+  LedgerHarness h;
+  h.ledger.mark(7, 2);
+  h.ledger.write_through(7, 3);
+  // The stale copy leaving later must not clobber the newer on-disk data.
+  h.ledger.write_back(7, 1);
+  EXPECT_EQ(h.stats.writebacks, 1u);
+  ASSERT_EQ(h.journal.entries().size(), 1u);
+  EXPECT_EQ(h.journal.entries()[0].block, 7u);
+  EXPECT_EQ(h.journal.entries()[0].level, 0u);
+  EXPECT_EQ(h.journal.entries()[0].size, 3u);
+}
+
+TEST(DirtyLedger, RecordLossForgetsTheMarkingEvenWithoutAJournal) {
+  LedgerHarness h;
+  h.ledger.record_loss(7, 1);  // clean block: no loss to report
+  EXPECT_EQ(h.journal.stats().dirty_lost, 0u);
+  h.ledger.mark(7, 4);
+  h.ledger.record_loss(7, 1);
+  EXPECT_EQ(h.journal.stats().dirty_lost, 1u);
+  EXPECT_EQ(h.journal.stats().dirty_lost_bytes, 4u);
+  // With no journal installed the loss still erases the marking.
+  h.owner->set_writeback_journal(nullptr);
+  h.ledger.mark(8, 1);
+  h.ledger.record_loss(8, 0);
+  h.ledger.write_back(7, 1);
+  h.ledger.write_back(8, 0);
+  EXPECT_EQ(h.stats.writebacks, 0u);
+  EXPECT_TRUE(h.events.empty());
+  EXPECT_EQ(h.journal.stats().appended, 0u);
+  EXPECT_EQ(h.journal.stats().dirty_lost, 1u);
+}
+
 }  // namespace
 }  // namespace ulc
-

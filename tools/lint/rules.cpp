@@ -553,10 +553,7 @@ void rule_narration_completeness(const FileUnit& u, std::vector<Finding>& out) {
     // to sibling members.
     std::set<std::string> narrating;
     for (const FunctionDef* f : members) {
-      // journal_write_back is the base-class write-back choke point and
-      // narrates the kWriteback event itself.
-      if (body_mentions(u, *f, "audit_emit") || body_mentions(u, *f, "auditing") ||
-          body_mentions(u, *f, "journal_write_back"))
+      if (body_mentions(u, *f, "audit_emit") || body_mentions(u, *f, "auditing"))
         narrating.insert(f->name);
     }
     if (narrating.empty()) continue;  // scheme opted out of auditing
@@ -607,57 +604,6 @@ void rule_narration_completeness(const FileUnit& u, std::vector<Finding>& out) {
               mutator +
               ") but never reaches audit_emit; narrate the movement or "
               "allow-mark a metadata-only mutation");
-    }
-  }
-}
-
-// ---- dirty-drop ------------------------------------------------------------
-//
-// The bug class the write-back pipeline exists to kill: a scheme dropping a
-// dirty marking (`dirty_.erase(...)`) without routing the data through the
-// write-back/journal machinery silently loses a write. Any member in
-// src/hierarchy or src/ulc that erases from `dirty_` must either *be* part
-// of that machinery (its name says write_back/writeback/journal) or call
-// into it from the same body (an identifier containing one of those
-// fragments used as a call or receiver — journal_write_back(...),
-// journal_record_loss(...), journal_->append(...)). A mere mention in a
-// comment or counter (`stats_.writebacks`) does not count.
-
-bool name_is_writeback_machinery(const std::string& name) {
-  return name.find("write_back") != std::string::npos ||
-         name.find("writeback") != std::string::npos ||
-         name.find("journal") != std::string::npos;
-}
-
-void rule_dirty_drop(const FileUnit& u, std::vector<Finding>& out) {
-  if (!path_has(u, "src/hierarchy/") && !path_has(u, "src/ulc/")) return;
-  const auto& toks = u.lexed.tokens;
-  for (const FunctionDef& f : u.symbols.functions) {
-    if (name_is_writeback_machinery(f.name)) continue;
-    bool reaches_writeback = false;
-    for (std::size_t i = f.body_begin; i < f.body_end; ++i) {
-      const Token& t = toks[i];
-      if (!is_ident(t) || !name_is_writeback_machinery(t.text)) continue;
-      // Only a *used* identifier counts: a call, or a receiver whose member
-      // is reached — not a counter field like stats_.writebacks.
-      const Token& next = tok(u, i + 1);
-      if (is_punct(next, "(") || is_punct(next, ".") || is_punct(next, "->")) {
-        reaches_writeback = true;
-        break;
-      }
-    }
-    if (reaches_writeback) continue;
-    for (std::size_t i = f.body_begin; i + 3 < f.body_end; ++i) {
-      if (!is_word(toks[i], "dirty_")) continue;
-      if (!is_punct(toks[i + 1], ".") && !is_punct(toks[i + 1], "->")) continue;
-      if (!is_word(toks[i + 2], "erase") || !is_punct(toks[i + 3], "(")) continue;
-      add(out, u, toks[i], "dirty-drop",
-          "'" + f.name +
-              "' drops a dirty marking without reaching the write-back/"
-              "journal machinery; write the block back (write_back_if_dirty) "
-              "or record the loss (journal_record_loss), or allow-mark a "
-              "provably clean drop");
-      break;  // one finding per member is enough
     }
   }
 }
@@ -918,8 +864,6 @@ const std::vector<RuleInfo>& all_rules() {
        "FlatMap/Slab pointer used after a call that can invalidate it"},
       {"narration-completeness", Severity::kError,
        "scheme mutates level contents without narrating to the audit sink"},
-      {"dirty-drop", Severity::kError,
-       "dirty marking erased without reaching the write-back/journal machinery"},
       {"enum-switch", Severity::kError,
        "switch over a repo enum without default misses enumerators"},
       {"include-layering", Severity::kError,
@@ -972,7 +916,6 @@ void run_rules(const FileUnit& unit, const GlobalContext& ctx,
   rule_count_capacity(unit, out);
   rule_dangling_slab_handle(unit, out);
   rule_narration_completeness(unit, out);
-  rule_dirty_drop(unit, out);
   rule_enum_switch(unit, ctx, out);
   rule_include_layering(unit, ctx, out);
   rule_lock_order(unit, out);
