@@ -32,9 +32,23 @@ BlockCache::BlockCache(const BlockCacheConfig& config, NearTier& near,
   ULC_REQUIRE(config.memory_blocks >= 1, "need at least one RAM buffer");
   ULC_REQUIRE(near.block_size() == config.block_size,
               "near tier block size mismatch");
+  // Placement acquires a descriptor only after the access's demotions have
+  // released theirs, so the two tier capacities bound the live entries; the
+  // spare matches the near tier's spare slot.
+  const std::size_t entries = config.memory_blocks + near.capacity_blocks() + 1;
+  ULC_REQUIRE(entries < kNone, "cache too large for 32-bit descriptor indices");
+  // Zeroed here so first-touch page faults are paid at construction, not on
+  // the first requests that land in each buffer.
   arena_.resize(config.block_size * config.memory_blocks);
   free_buffers_.reserve(config.memory_blocks);
-  for (std::size_t i = config.memory_blocks; i-- > 0;) free_buffers_.push_back(i);
+  for (std::size_t i = config.memory_blocks; i-- > 0;)
+    free_buffers_.push_back(static_cast<std::uint32_t>(i));
+  descriptors_.resize(entries);
+  for (std::size_t i = entries; i-- > 0;) {
+    descriptors_[i].next_free = free_descriptor_;
+    free_descriptor_ = static_cast<std::uint32_t>(i);
+  }
+  index_.reserve(entries);
   scratch_.resize(config.block_size);
   scratch2_.resize(config.block_size);
 }
@@ -44,15 +58,57 @@ BlockCache::~BlockCache() {
   flush();
 }
 
-std::size_t BlockCache::acquire_buffer() {
-  ULC_ENSURE(!free_buffers_.empty(),
-             "RAM pool exhausted: engine placement must bound residency");
-  const std::size_t index = free_buffers_.back();
+std::uint32_t BlockCache::lookup(BlockId block) const {
+  const std::uint32_t* index = index_.find(block);
+  return index == nullptr ? kNone : *index;
+}
+
+std::uint32_t BlockCache::lookup_served(BlockId block,
+                                        const UlcAccess& outcome) const {
+  const std::uint32_t index = lookup(block);
+  const std::uint8_t flags = index == kNone ? 0 : descriptors_[index].flags;
+  if (outcome.hit_level == 0) {
+    ULC_ENSURE((flags & Descriptor::kInRam) != 0,
+               "engine says RAM hit but the block holds no RAM buffer");
+  } else if (outcome.hit_level == 1) {
+    ULC_ENSURE((flags & Descriptor::kInNear) != 0,
+               "engine says near-tier hit but the descriptor disagrees");
+  } else {
+    ULC_ENSURE(index == kNone, "engine says miss but the block is cached");
+  }
+  return index;
+}
+
+std::uint32_t BlockCache::acquire_descriptor(BlockId block,
+                                             std::uint8_t flags) {
+  ULC_REQUIRE(free_descriptor_ != kNone,
+              "descriptor table exhausted: engine placement must bound it");
+  const std::uint32_t index = free_descriptor_;
+  Descriptor& d = descriptors_[index];
+  free_descriptor_ = d.next_free;
+  d.block = block;
+  d.flags = flags;
+  index_.insert_new(block, index);
+  return index;
+}
+
+void BlockCache::release_descriptor(std::uint32_t index) {
+  Descriptor& d = descriptors_[index];
+  index_.erase(d.block);
+  d.flags = 0;
+  d.next_free = free_descriptor_;
+  free_descriptor_ = index;
+}
+
+std::uint32_t BlockCache::acquire_buffer() {
+  ULC_REQUIRE(!free_buffers_.empty(),
+              "RAM pool exhausted: engine placement must bound residency");
+  const std::uint32_t index = free_buffers_.back();
   free_buffers_.pop_back();
   return index;
 }
 
-void BlockCache::release_buffer(std::size_t index) {
+void BlockCache::release_buffer(std::uint32_t index) {
   free_buffers_.push_back(index);
 }
 
@@ -89,60 +145,69 @@ void BlockCache::writeback(BlockId block, std::size_t from,
 }
 
 void BlockCache::handle_demotions(const UlcAccess& outcome) {
-  for (const DemoteCmd& d : outcome.demotions) {
-    if (d.from == 0) {
-      auto it = resident_.find(d.block);
-      ULC_ENSURE(it != resident_.end(), "demoted block not resident in RAM");
-      const std::byte* data = buffer_data(it->second);
-      if (d.to == 1) {
-        near_.store(d.block, std::span(data, config_.block_size));
+  for (const DemoteCmd& cmd : outcome.demotions) {
+    const std::uint32_t index = lookup(cmd.block);
+    ULC_ENSURE(index != kNone, "demoted block has no descriptor");
+    Descriptor& d = descriptors_[index];
+    const bool dirty = (d.flags & Descriptor::kDirty) != 0;
+    if (cmd.from == 0) {
+      ULC_ENSURE((d.flags & Descriptor::kInRam) != 0,
+                 "demoted block not resident in RAM");
+      const std::byte* data = buffer_data(d.buffer);
+      if (cmd.to == 1) {
+        near_.store(cmd.block, std::span(data, config_.block_size));
         bump(counters_.demotions);
-        notify(d.block, PlacementEventKind::kDemote);
+        notify(cmd.block, PlacementEventKind::kDemote);
+        d.flags = static_cast<std::uint8_t>((d.flags & Descriptor::kDirty) |
+                                            Descriptor::kInNear);
+        release_buffer(d.buffer);
       } else {
         // Discard from RAM: dirty data must reach the origin first. The
         // RAM buffer is freed only after the write-back returns.
-        if (dirty_.erase(d.block) > 0)
-          writeback(d.block, 0, std::span(data, config_.block_size));
-        notify(d.block, PlacementEventKind::kDiscard);
+        if (dirty) writeback(cmd.block, 0, std::span(data, config_.block_size));
+        notify(cmd.block, PlacementEventKind::kDiscard);
+        release_buffer(d.buffer);
+        release_descriptor(index);
       }
-      release_buffer(it->second);
-      resident_.erase(it);
     } else {
       // Leaving the near tier; in a two-tier cache that means discard.
-      ULC_ENSURE(d.to == kLevelOut, "two-tier cache demotes near-tier blocks out");
-      if (dirty_.erase(d.block) > 0) {
+      ULC_ENSURE(cmd.to == kLevelOut, "two-tier cache demotes near-tier blocks out");
+      ULC_ENSURE((d.flags & Descriptor::kInNear) != 0,
+                 "demoted block not in the near tier");
+      if (dirty) {
         // Pin for the write-back window: the tier refuses to evict the
         // block while its bytes are being copied out.
-        near_.pin(d.block);
-        const bool ok = near_.fetch(d.block, scratch2_);
+        near_.pin(cmd.block);
+        const bool ok = near_.fetch(cmd.block, scratch2_);
         ULC_ENSURE(ok, "dirty near-tier block missing");
-        writeback(d.block, 1, scratch2_);
-        near_.unpin(d.block);
+        writeback(cmd.block, 1, scratch2_);
+        near_.unpin(cmd.block);
       }
-      near_.evict(d.block);
-      notify(d.block, PlacementEventKind::kDiscard);
+      near_.evict(cmd.block);
+      notify(cmd.block, PlacementEventKind::kDiscard);
+      release_descriptor(index);
     }
   }
 }
 
-void BlockCache::apply_placement(BlockId block, const UlcAccess& outcome,
+void BlockCache::apply_placement(BlockId block, std::uint32_t index,
+                                 const UlcAccess& outcome,
                                  std::span<const std::byte> contents,
                                  bool dirtying) {
+  const std::uint8_t dirty = dirtying ? Descriptor::kDirty : 0;
   if (outcome.placed_level == 0) {
-    auto it = resident_.find(block);
-    std::size_t buf;
-    if (it == resident_.end()) {
-      buf = acquire_buffer();
-      resident_[block] = buf;
+    if (index == kNone) index = acquire_descriptor(block, 0);
+    Descriptor& d = descriptors_[index];
+    if ((d.flags & Descriptor::kInRam) == 0) {
+      d.buffer = acquire_buffer();
       notify(block, outcome.hit_level == 1 ? PlacementEventKind::kPromote
                                            : PlacementEventKind::kStore);
-    } else {
-      buf = it->second;
     }
-    if (buffer_data(buf) != contents.data())
-      std::memcpy(buffer_data(buf), contents.data(), config_.block_size);
+    if (buffer_data(d.buffer) != contents.data())
+      std::memcpy(buffer_data(d.buffer), contents.data(), config_.block_size);
     if (outcome.hit_level == 1) near_.evict(block);  // exclusive move up
-    if (dirtying) dirty_.insert(block);
+    d.flags = static_cast<std::uint8_t>((d.flags & Descriptor::kDirty) |
+                                        Descriptor::kInRam | dirty);
   } else if (outcome.placed_level == 1) {
     // Stays at / goes to the near tier. On a near-tier read hit nothing
     // moves; writes and fresh placements must store the bytes.
@@ -150,7 +215,8 @@ void BlockCache::apply_placement(BlockId block, const UlcAccess& outcome,
       near_.store(block, contents);
       if (outcome.hit_level != 1) notify(block, PlacementEventKind::kStore);
     }
-    if (dirtying) dirty_.insert(block);
+    if (index == kNone) index = acquire_descriptor(block, Descriptor::kInNear);
+    descriptors_[index].flags |= dirty;
   } else {
     // Not cached anywhere: pass-through. A write goes straight to the
     // origin; a read retains nothing.
@@ -163,11 +229,12 @@ void BlockCache::read(BlockId block, std::span<std::byte> out) {
   std::lock_guard<std::mutex> guard(lock_);
   bump(counters_.reads);
   const UlcAccess& a = engine_.access(block);
+  const std::uint32_t index = lookup_served(block, a);
 
   const std::byte* source = nullptr;
   if (a.hit_level == 0) {
     bump(counters_.memory_hits);
-    source = buffer_data(resident_.at(block));
+    source = buffer_data(descriptors_[index].buffer);
   } else if (a.hit_level == 1) {
     bump(counters_.near_hits);
     const bool ok = near_.fetch(block, scratch_);
@@ -181,10 +248,11 @@ void BlockCache::read(BlockId block, std::span<std::byte> out) {
   std::memcpy(out.data(), source, config_.block_size);
 
   // Demotions first: they free the RAM buffer a promotion may need. They
-  // never touch the just-accessed block (it sits at the stack top) and use
-  // their own scratch buffer, so `source` stays valid.
+  // never touch the just-accessed block (it sits at the stack top), so its
+  // descriptor index stays valid, and they use their own scratch buffer, so
+  // `source` stays valid too.
   handle_demotions(a);
-  apply_placement(block, a, std::span(source, config_.block_size),
+  apply_placement(block, index, a, std::span(source, config_.block_size),
                   /*dirtying=*/false);
 }
 
@@ -193,6 +261,7 @@ void BlockCache::write(BlockId block, std::span<const std::byte> in) {
   std::lock_guard<std::mutex> guard(lock_);
   bump(counters_.writes);
   const UlcAccess& a = engine_.access(block);
+  const std::uint32_t index = lookup_served(block, a);
   if (a.hit_level == 0) {
     bump(counters_.memory_hits);
   } else if (a.hit_level == 1) {
@@ -201,45 +270,50 @@ void BlockCache::write(BlockId block, std::span<const std::byte> in) {
   // A whole-block write does not need the old contents; the new bytes are
   // placed per the engine's direction.
   handle_demotions(a);
-  apply_placement(block, a, in.subspan(0, config_.block_size),
+  apply_placement(block, index, a, in.subspan(0, config_.block_size),
                   /*dirtying=*/true);
 }
 
-void BlockCache::write_back_dirty_locked(BlockId block) {
-  auto it = resident_.find(block);
-  if (it != resident_.end()) {
-    writeback(block, 0,
-              std::span(buffer_data(it->second), config_.block_size));
+void BlockCache::write_back_dirty_locked(Descriptor& d) {
+  if ((d.flags & Descriptor::kInRam) != 0) {
+    writeback(d.block, 0, std::span(buffer_data(d.buffer), config_.block_size));
   } else {
-    near_.pin(block);
-    const bool ok = near_.fetch(block, scratch_);
+    near_.pin(d.block);
+    const bool ok = near_.fetch(d.block, scratch_);
     ULC_ENSURE(ok, "dirty block missing from both tiers");
-    writeback(block, 1, scratch_);
-    near_.unpin(block);
+    writeback(d.block, 1, scratch_);
+    near_.unpin(d.block);
   }
-  dirty_.erase(block);
+  d.flags &= static_cast<std::uint8_t>(~Descriptor::kDirty);
 }
 
-void BlockCache::flush() {
-  std::lock_guard<std::mutex> guard(lock_);
-  // Write back in block order: the hash-set iteration order must not leak
-  // into the sequence of origin writes (determinism across runs/platforms).
-  std::vector<BlockId> to_flush(dirty_.begin(), dirty_.end());
-  std::sort(to_flush.begin(), to_flush.end());
-  for (BlockId block : to_flush) write_back_dirty_locked(block);
-}
-
-std::vector<BlockId> BlockCache::dirty_blocks() const {
-  std::lock_guard<std::mutex> guard(lock_);
-  std::vector<BlockId> out(dirty_.begin(), dirty_.end());
+std::vector<BlockId> BlockCache::dirty_blocks_locked() const {
+  // Ascending block order: the table's slot order must not leak into the
+  // sequence of origin writes (determinism across runs and platforms).
+  std::vector<BlockId> out;
+  for (const Descriptor& d : descriptors_)
+    if ((d.flags & Descriptor::kDirty) != 0) out.push_back(d.block);
   std::sort(out.begin(), out.end());
   return out;
 }
 
+void BlockCache::flush() {
+  std::lock_guard<std::mutex> guard(lock_);
+  for (BlockId block : dirty_blocks_locked())
+    write_back_dirty_locked(descriptors_[lookup(block)]);
+}
+
+std::vector<BlockId> BlockCache::dirty_blocks() const {
+  std::lock_guard<std::mutex> guard(lock_);
+  return dirty_blocks_locked();
+}
+
 void BlockCache::flush_block(BlockId block) {
   std::lock_guard<std::mutex> guard(lock_);
-  if (dirty_.count(block) == 0) return;
-  write_back_dirty_locked(block);
+  const std::uint32_t index = lookup(block);
+  if (index == kNone || (descriptors_[index].flags & Descriptor::kDirty) == 0)
+    return;
+  write_back_dirty_locked(descriptors_[index]);
 }
 
 BlockCacheStats BlockCache::stats() const {
@@ -258,7 +332,9 @@ BlockCacheStats BlockCache::stats() const {
 
 bool BlockCache::resident_in_memory(BlockId block) const {
   std::lock_guard<std::mutex> guard(lock_);
-  return resident_.count(block) != 0;
+  const std::uint32_t index = lookup(block);
+  return index != kNone &&
+         (descriptors_[index].flags & Descriptor::kInRam) != 0;
 }
 
 }  // namespace ulc

@@ -9,6 +9,12 @@
 // write-backs. Blocks the engine declines to cache are served straight
 // through (the caller receives a copy; nothing is retained).
 //
+// Block state lives in one fixed descriptor table (the buffer-cache shape of
+// xv6's bio.c): each cached block owns one descriptor naming the tier that
+// holds it, whether it is dirty, and its RAM buffer; free descriptors are
+// chained through the same array. A FlatMap reserved up front indexes it, so
+// the data path allocates nothing per block (DESIGN.md §10).
+//
 // Thread safety: all mutating operations are serialized by one internal
 // mutex (the engine's metadata operations are O(1), so the lock is held
 // briefly except during tier/origin IO). Hot counters are relaxed atomics,
@@ -22,13 +28,12 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "runtime/tier.h"
 #include "ulc/ulc_client.h"
 #include "ulc/writeback.h"
+#include "util/flat_hash.h"
 
 namespace ulc {
 
@@ -115,9 +120,20 @@ class BlockCache {
   bool resident_in_memory(BlockId block) const;
 
  private:
-  struct Buffer {
-    std::byte* data = nullptr;
+  // One per cached block. flags == 0 marks a free descriptor, whose
+  // next_free links the free list. A block is in exactly one tier; kDirty
+  // stays set wherever it moves until its bytes reach the origin.
+  struct Descriptor {
+    static constexpr std::uint8_t kInRam = 1;
+    static constexpr std::uint8_t kInNear = 2;
+    static constexpr std::uint8_t kDirty = 4;
+
+    BlockId block = 0;
+    std::uint32_t buffer = 0;     // RAM buffer index, valid while kInRam
+    std::uint32_t next_free = 0;  // free-list link, valid while flags == 0
+    std::uint8_t flags = 0;
   };
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
   // Mutated under lock_, read lock-free by stats(): relaxed ordering is
   // enough because each counter is independent (no cross-counter invariant
@@ -133,14 +149,24 @@ class BlockCache {
   };
 
   // All private methods require lock_ to be held.
-  std::byte* buffer_data(std::size_t index) { return &arena_[index * config_.block_size]; }
-  std::size_t acquire_buffer();
-  void release_buffer(std::size_t index);
+  std::byte* buffer_data(std::uint32_t index) {
+    return arena_.data() + std::size_t{index} * config_.block_size;
+  }
+  // Descriptor index of `block`, or kNone when it is not cached.
+  std::uint32_t lookup(BlockId block) const;
+  // lookup(), checking that the descriptor agrees with the tier the engine
+  // says served the access.
+  std::uint32_t lookup_served(BlockId block, const UlcAccess& outcome) const;
+  std::uint32_t acquire_descriptor(BlockId block, std::uint8_t flags);
+  void release_descriptor(std::uint32_t index);
+  std::uint32_t acquire_buffer();
+  void release_buffer(std::uint32_t index);
   void notify(BlockId block, PlacementEventKind kind);
-  // Applies the engine's outcome for `block` whose fresh contents are in
-  // `scratch` (filled from wherever it was served). Returns nothing; updates
-  // residency, near tier, and write-back state.
-  void apply_placement(BlockId block, const UlcAccess& outcome,
+  // Applies the engine's outcome for `block` (descriptor `index`, kNone on a
+  // miss) whose fresh contents are `contents`: residency, near tier, dirty
+  // state.
+  void apply_placement(BlockId block, std::uint32_t index,
+                       const UlcAccess& outcome,
                        std::span<const std::byte> contents, bool dirtying);
   void handle_demotions(const UlcAccess& outcome);
   // Pushes the block's bytes to the origin through the journal pipeline
@@ -148,9 +174,10 @@ class BlockCache {
   // data is leaving (0 = RAM, 1 = near tier).
   void writeback(BlockId block, std::size_t from,
                  std::span<const std::byte> contents);
-  // Writes one dirty block back (resident buffer or pinned near-tier fetch)
-  // and clears its dirty bit. The block must be in dirty_.
-  void write_back_dirty_locked(BlockId block);
+  // Writes one dirty block back (RAM buffer or pinned near-tier fetch) and
+  // clears its dirty flag.
+  void write_back_dirty_locked(Descriptor& d);
+  std::vector<BlockId> dirty_blocks_locked() const;
 
   BlockCacheConfig config_;
   NearTier& near_;
@@ -158,10 +185,11 @@ class BlockCache {
 
   mutable std::mutex lock_;
   UlcClient engine_;
-  std::vector<std::byte> arena_;
-  std::vector<std::size_t> free_buffers_;
-  std::unordered_map<BlockId, std::size_t> resident_;  // block -> buffer index
-  std::unordered_set<BlockId> dirty_;  // dirty wherever the block now lives
+  std::vector<std::byte> arena_;  // memory_blocks RAM buffers
+  std::vector<std::uint32_t> free_buffers_;
+  std::vector<Descriptor> descriptors_;  // fixed size, never reallocated
+  std::uint32_t free_descriptor_ = kNone;  // head of the free list
+  FlatMap<BlockId, std::uint32_t> index_;  // block -> descriptor
   std::vector<std::byte> scratch_;
   std::vector<std::byte> scratch2_;  // demotion-path IO (keeps scratch_ valid)
   WritebackSink* journal_ = nullptr;

@@ -108,6 +108,7 @@ Json directory_stats_to_json(const DirectoryStats& d) {
     queue.set("rejected", s.queue.rejected);
     queue.set("producer_waits", s.queue.producer_waits);
     queue.set("max_depth", s.queue.max_depth);
+    queue.set("wakeups", s.queue.wakeups);
     row.set("queue", std::move(queue));
     shards.push(std::move(row));
   }
@@ -181,6 +182,10 @@ Json load_result_to_json(const LoadGenConfig& config, const LoadGenResult& resul
   shape.set("directory_shards",
             config.serving.enable_directory
                 ? Json(static_cast<std::uint64_t>(config.serving.directory.shards))
+                : Json(nullptr));
+  shape.set("directory_queue_capacity",
+            config.serving.enable_directory
+                ? Json(static_cast<std::uint64_t>(config.serving.directory.queue_capacity))
                 : Json(nullptr));
   j.set("shape", std::move(shape));
   j.set("wall_seconds", result.wall_seconds);

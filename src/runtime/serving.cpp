@@ -1,5 +1,7 @@
 #include "runtime/serving.h"
 
+#include <chrono>
+
 #include "util/ensure.h"
 #include "util/flat_hash.h"
 
@@ -78,8 +80,17 @@ void DirectoryServer::apply(ServerShard& shard, const PlacementEvent& event) {
 void DirectoryServer::drain() {
   for (auto& shard : shards_) {
     const std::uint64_t target = shard->posted.load(std::memory_order_relaxed);
+    const auto caught_up = [&] { return shard->stats.applied >= target; };
+    // A queue shallower than half its capacity does not wake its worker, so
+    // kick it. A post counted in `target` may still be on its way into the
+    // queue (posted is bumped before the push), so re-kick until caught up.
     std::unique_lock<std::mutex> lock(shard->lock);
-    shard->applied_cv.wait(lock, [&] { return shard->stats.applied >= target; });
+    while (!caught_up()) {
+      lock.unlock();
+      shard->queue.kick();
+      lock.lock();
+      shard->applied_cv.wait_for(lock, std::chrono::milliseconds(1), caught_up);
+    }
   }
 }
 

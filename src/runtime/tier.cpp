@@ -15,52 +15,92 @@ void NearTier::evict(BlockId block) {
   do_evict(block);
 }
 
-void NearTier::pin(BlockId block) { ++pins_[block]; }
+void NearTier::pin(BlockId block) {
+  if (std::uint32_t* count = pins_.find(block)) {
+    ++*count;
+  } else {
+    pins_.insert_new(block, 1);
+  }
+}
 
 void NearTier::unpin(BlockId block) {
-  auto it = pins_.find(block);
-  ULC_REQUIRE(it != pins_.end(), "unpin of a block that holds no pin");
-  if (--it->second == 0) pins_.erase(it);
+  std::uint32_t* count = pins_.find(block);
+  ULC_REQUIRE(count != nullptr, "unpin of a block that holds no pin");
+  if (--*count == 0) pins_.erase(block);
 }
 
 std::uint32_t NearTier::pin_count(BlockId block) const {
-  auto it = pins_.find(block);
-  return it == pins_.end() ? 0 : it->second;
+  const std::uint32_t* count = pins_.find(block);
+  return count == nullptr ? 0 : *count;
 }
 
 namespace {
 
+// Slot arena: capacity + 1 fixed slots in one buffer, a block -> slot index
+// and a free-slot stack. The spare slot is needed because a promotion stores
+// the RAM victim it demotes before it evicts the promoted block, so the tier
+// briefly holds one block over its capacity.
 class MemoryNearTier final : public NearTier {
  public:
   MemoryNearTier(std::size_t capacity, std::size_t block_size)
-      : capacity_(capacity), block_size_(block_size) {}
+      : capacity_(capacity),
+        block_size_(block_size),
+        // Zeroed here so first-touch page faults are paid at construction,
+        // not by the stores that first land in each slot.
+        arena_((capacity + 1) * block_size) {
+    ULC_REQUIRE(capacity + 1 < ~std::uint32_t{0},
+                "near tier too large for 32-bit slot indices");
+    free_slots_.reserve(capacity + 1);
+    for (std::size_t i = capacity + 1; i-- > 0;)
+      free_slots_.push_back(static_cast<std::uint32_t>(i));
+    slots_.reserve(capacity + 1);
+  }
 
   bool fetch(BlockId block, std::span<std::byte> out) override {
     ULC_REQUIRE(out.size() >= block_size_, "fetch buffer too small");
-    auto it = store_.find(block);
-    if (it == store_.end()) return false;
-    std::memcpy(out.data(), it->second.data(), block_size_);
+    const std::uint32_t* slot = slots_.find(block);
+    if (slot == nullptr) return false;
+    std::memcpy(out.data(), slot_data(*slot), block_size_);
     return true;
   }
 
   void store(BlockId block, std::span<const std::byte> data) override {
     ULC_REQUIRE(data.size() >= block_size_, "store buffer too small");
-    auto& slot = store_[block];
-    slot.assign(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(block_size_));
-    ULC_ENSURE(store_.size() <= capacity_ + 1,
-               "near tier overfilled: the placement engine must bound it");
+    const std::uint32_t* found = slots_.find(block);
+    std::uint32_t slot;
+    if (found != nullptr) {
+      slot = *found;
+    } else {
+      ULC_REQUIRE(!free_slots_.empty(),
+                  "near tier overfilled: the placement engine must bound it");
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      slots_.insert_new(block, slot);
+    }
+    std::memcpy(slot_data(slot), data.data(), block_size_);
   }
 
   std::size_t capacity_blocks() const override { return capacity_; }
   std::size_t block_size() const override { return block_size_; }
 
  protected:
-  void do_evict(BlockId block) override { store_.erase(block); }
+  void do_evict(BlockId block) override {
+    const std::uint32_t* slot = slots_.find(block);
+    if (slot == nullptr) return;
+    free_slots_.push_back(*slot);
+    slots_.erase(block);
+  }
 
  private:
+  std::byte* slot_data(std::uint32_t slot) {
+    return arena_.data() + std::size_t{slot} * block_size_;
+  }
+
   std::size_t capacity_;
   std::size_t block_size_;
-  std::unordered_map<BlockId, std::vector<std::byte>> store_;
+  std::vector<std::byte> arena_;
+  FlatMap<BlockId, std::uint32_t> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 class MemoryOrigin final : public Origin {
@@ -85,7 +125,10 @@ class MemoryOrigin final : public Origin {
 
  private:
   std::size_t block_size_;
-  std::unordered_map<BlockId, std::vector<std::byte>> store_;
+  // The authoritative store grows with every block ever written and has no
+  // capacity to size an arena by; one heap block per written block is the
+  // price of a RAM-backed origin.
+  std::unordered_map<BlockId, std::vector<std::byte>> store_;  // ulc-lint: allow(hot-container)
 };
 
 struct FileCloser {
@@ -112,25 +155,24 @@ class FileNearTier final : public NearTier {
 
   bool fetch(BlockId block, std::span<std::byte> out) override {
     ULC_REQUIRE(out.size() >= block_size_, "fetch buffer too small");
-    auto it = slots_.find(block);
-    if (it == slots_.end()) return false;
-    read_slot(it->second, out);
+    const std::size_t* slot = slots_.find(block);
+    if (slot == nullptr) return false;
+    read_slot(*slot, out);
     return true;
   }
 
   void store(BlockId block, std::span<const std::byte> data) override {
     ULC_REQUIRE(data.size() >= block_size_, "store buffer too small");
     std::size_t slot;
-    auto it = slots_.find(block);
-    if (it != slots_.end()) {
-      slot = it->second;
+    if (const std::size_t* found = slots_.find(block)) {
+      slot = *found;
     } else if (!free_slots_.empty()) {
       slot = free_slots_.back();
       free_slots_.pop_back();
-      slots_[block] = slot;
+      slots_.insert_new(block, slot);
     } else {
       slot = next_slot_++;
-      slots_[block] = slot;
+      slots_.insert_new(block, slot);
     }
     const long off = static_cast<long>(slot * block_size_);
     ULC_REQUIRE(std::fseek(file_.get(), off, SEEK_SET) == 0, "tier seek failed");
@@ -143,10 +185,10 @@ class FileNearTier final : public NearTier {
 
  protected:
   void do_evict(BlockId block) override {
-    auto it = slots_.find(block);
-    if (it == slots_.end()) return;
-    free_slots_.push_back(it->second);
-    slots_.erase(it);
+    const std::size_t* slot = slots_.find(block);
+    if (slot == nullptr) return;
+    free_slots_.push_back(*slot);
+    slots_.erase(block);
   }
 
  private:
@@ -160,7 +202,7 @@ class FileNearTier final : public NearTier {
   FilePtr file_;
   std::size_t capacity_;
   std::size_t block_size_;
-  std::unordered_map<BlockId, std::size_t> slots_;
+  FlatMap<BlockId, std::size_t> slots_;
   std::vector<std::size_t> free_slots_;
   std::size_t next_slot_ = 0;
 };

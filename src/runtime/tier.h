@@ -12,9 +12,9 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 
 #include "trace/types.h"
+#include "util/flat_hash.h"
 
 namespace ulc {
 
@@ -50,7 +50,7 @@ class NearTier {
   virtual void do_evict(BlockId block) = 0;
 
  private:
-  std::unordered_map<BlockId, std::uint32_t> pins_;
+  FlatMap<BlockId, std::uint32_t> pins_;  // pinned blocks only
 };
 
 // The authoritative backing store.
@@ -63,7 +63,9 @@ class Origin {
   virtual void write(BlockId block, std::span<const std::byte> data) = 0;
 };
 
-// RAM-backed implementations (tests, small data sets).
+// RAM-backed implementations (tests, small data sets). The memory near tier
+// is one contiguous slot arena sized at construction, so a store copies into
+// a free slot and never allocates.
 std::unique_ptr<NearTier> make_memory_near_tier(std::size_t capacity_blocks,
                                                 std::size_t block_size = 8192);
 std::unique_ptr<Origin> make_memory_origin(std::size_t block_size = 8192);

@@ -12,9 +12,15 @@
 // deterministic sequence; with several producers the order is whatever
 // interleaving the mutex admits (per-producer subsequences stay in order).
 //
-// The consumer drains in batches (pop_wait) to amortize the lock. close()
-// wakes everyone: producers see push() fail, the consumer drains what is
-// left and then gets 0.
+// The consumer drains in batches (pop_wait) to amortize the lock. Producers
+// wake a waiting consumer only when the depth reaches half the capacity,
+// (capacity + 1) / 2, not on every push: a futex wake per item costs more
+// than the item, and the producer usually holds a cache shard lock while it
+// pushes. Items below that depth wait until the next crossing, a kick(), or
+// close(), so a consumer lags its producers by at most half the bound. A
+// caller that needs the tail applied now (a drain barrier) calls kick().
+// close() wakes everyone: producers see push() fail, the consumer drains
+// what is left and then gets 0.
 #pragma once
 
 #include <condition_variable>
@@ -34,12 +40,14 @@ struct MpscStats {
   std::uint64_t rejected = 0;        // try_push on a full queue / push after close
   std::uint64_t producer_waits = 0;  // pushes that had to block on a full queue
   std::uint64_t max_depth = 0;       // high-water mark of queued items
+  std::uint64_t wakeups = 0;         // consumer notifies from pushes and kick()
 };
 
 template <typename T>
 class BoundedMpsc {
  public:
-  explicit BoundedMpsc(std::size_t capacity) : capacity_(capacity) {
+  explicit BoundedMpsc(std::size_t capacity)
+      : capacity_(capacity), wake_depth_((capacity + 1) / 2) {
     ULC_REQUIRE(capacity >= 1, "queue capacity must be positive");
   }
 
@@ -73,10 +81,10 @@ class BoundedMpsc {
     return true;
   }
 
-  // Consumer side: clears `out`, then blocks until at least one item is
-  // available (moving every queued item into `out`) or the queue is closed
-  // and empty. Returns the number of items delivered; 0 means "closed and
-  // fully drained" — the consumer's exit signal.
+  // Consumer side: clears `out`, then returns at once if items are queued,
+  // else blocks until a wake (half-capacity push, kick() or close()); moves
+  // every queued item into `out`. Returns the number of items delivered;
+  // 0 means "closed and fully drained" — the consumer's exit signal.
   std::size_t pop_wait(std::vector<T>& out) {
     out.clear();
     std::unique_lock<std::mutex> lock(lock_);
@@ -88,6 +96,16 @@ class BoundedMpsc {
     stats_.dequeued += out.size();
     if (!out.empty()) not_full_.notify_all();
     return out.size();
+  }
+
+  // Wakes the consumer if anything is queued, whatever the depth. Producers
+  // leave a queue shallower than half the capacity unannounced; a caller
+  // waiting for those items to be consumed kicks first.
+  void kick() {
+    std::lock_guard<std::mutex> lock(lock_);
+    if (items_.empty()) return;
+    ++stats_.wakeups;
+    not_empty_.notify_one();
   }
 
   // After close() every push fails and pop_wait drains to 0.
@@ -120,10 +138,16 @@ class BoundedMpsc {
     items_.push_back(std::move(item));
     ++stats_.enqueued;
     if (items_.size() > stats_.max_depth) stats_.max_depth = items_.size();
-    not_empty_.notify_one();
+    // pop_wait empties the queue, so depth climbs through wake_depth_ once
+    // per consumer batch: one wake per wake_depth_ items at most.
+    if (items_.size() == wake_depth_) {
+      ++stats_.wakeups;
+      not_empty_.notify_one();
+    }
   }
 
   const std::size_t capacity_;
+  const std::size_t wake_depth_;  // depth at which a push wakes the consumer
   mutable std::mutex lock_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;

@@ -351,6 +351,20 @@ TEST(Rules, HotContainerFiresInOrderStructures) {
                      "hot-container"));
 }
 
+TEST(Rules, HotContainerFiresInRuntime) {
+  EXPECT_TRUE(fires("src/runtime/block_cache.h",
+                    R"__(std::unordered_set<BlockId> dirty_;)__", "hot-container"));
+  EXPECT_TRUE(fires("src/runtime/tier.cpp",
+                    R"__(std::unordered_map<BlockId, std::size_t> slots_;)__",
+                    "hot-container"));
+  EXPECT_FALSE(fires("src/runtime/tier.cpp",
+                     R"__(FlatMap<BlockId, std::uint32_t> slots_;)__",
+                     "hot-container"));
+  EXPECT_FALSE(fires("src/runtime/tier.cpp",
+                     R"__(std::unordered_map<BlockId, Bytes> store_;  // ulc-lint: allow(hot-container))__",
+                     "hot-container"));
+}
+
 TEST(Rules, HotContainerCleanOutsideAndForFlatStructures) {
   EXPECT_FALSE(fires("src/exp/a.cpp", R"__(std::unordered_map<int, int> m;)__",
                      "hot-container"));
@@ -679,9 +693,11 @@ const char* name(Kind k) {
 })__");
   ASSERT_TRUE(fires(r, "enum-switch"));
   // The message names what is missing.
-  for (const Finding& f : r.findings)
-    if (f.rule == "enum-switch")
+  for (const Finding& f : r.findings) {
+    if (f.rule == "enum-switch") {
       EXPECT_NE(f.message.find("kC"), std::string::npos);
+    }
+  }
 }
 
 TEST(Rules, EnumSwitchExhaustiveOrDefaultedClean) {

@@ -324,6 +324,103 @@ TEST(BlockCache, JournalRecordsTheFullWritebackPipeline) {
   EXPECT_TRUE(journal.laws_hold(why)) << why;
 }
 
+// FNV-1a over 64-bit words: a stable fingerprint for recorded sequences.
+struct Fnv64 {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+struct RecordingListener final : PlacementListener {
+  Fnv64 events;
+  std::uint64_t count = 0;
+  void on_placement(const PlacementEvent& e) override {
+    events.add(e.block);
+    events.add(e.shard);
+    events.add(static_cast<std::uint64_t>(e.kind));
+    ++count;
+  }
+};
+
+// Forwards to a memory origin and fingerprints the write sequence: which
+// block, in which order, carrying which bytes.
+class FingerprintOrigin final : public Origin {
+ public:
+  explicit FingerprintOrigin(Origin& inner) : inner_(inner) {}
+  void read(BlockId block, std::span<std::byte> out) override {
+    inner_.read(block, out);
+  }
+  void write(BlockId block, std::span<const std::byte> data) override {
+    writes.add(block);
+    for (std::size_t i = 0; i < kBlock; i += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, data.data() + i, 8);
+      writes.add(word);
+    }
+    ++count;
+    inner_.write(block, data);
+  }
+  Fnv64 writes;
+  std::uint64_t count = 0;
+
+ private:
+  Origin& inner_;
+};
+
+// Pins the cache's placement behaviour: a seeded single-thread churn run
+// must reproduce an exact placement-event stream and origin write sequence.
+// Any change in which block lands where, or when dirty data reaches the
+// origin, changes one of the two fingerprints; a change to how block state
+// is stored must change neither.
+TEST(BlockCache, PlacementStreamIsPinnedUnderChurn) {
+  constexpr std::size_t kRam = 8;
+  constexpr std::size_t kNear = 16;
+  constexpr BlockId kFootprint = 64;
+  auto near = make_memory_near_tier(kNear, kBlock);
+  auto backing = make_memory_origin(kBlock);
+  FingerprintOrigin origin(*backing);
+  RecordingListener listener;
+  std::map<BlockId, std::uint64_t> version;  // reference model
+  {
+    BlockCache cache(BlockCacheConfig{kBlock, kRam}, *near, origin);
+    cache.set_placement_listener(&listener, 3);
+    PatternPtr src = make_zipf_source(0, kFootprint, 0.8, true, 11);
+    Rng rng(2024);
+    std::vector<std::byte> out(kBlock);
+    for (int i = 1; i <= 20000; ++i) {
+      const BlockId b = src->next(rng);
+      if (rng.next_bool(0.3)) {
+        cache.write(b, pattern(b, ++version[b]));
+      } else {
+        cache.read(b, out);
+        auto it = version.find(b);
+        if (it != version.end()) {
+          const auto want = pattern(b, it->second);
+          ASSERT_EQ(std::memcmp(out.data(), want.data(), kBlock), 0)
+              << "step " << i << " block " << b;
+        } else {
+          for (std::byte byte : out) ASSERT_EQ(byte, std::byte{0}) << i;
+        }
+      }
+      std::size_t resident = 0;
+      for (BlockId r = 0; r < kFootprint; ++r)
+        resident += cache.resident_in_memory(r) ? 1 : 0;
+      ASSERT_LE(resident, kRam) << "step " << i;
+      if (i % 1000 == 0) cache.flush();
+    }
+    cache.set_placement_listener(nullptr, 0);
+  }
+  // Recorded with the hash-map-backed cache; the descriptor table matches.
+  EXPECT_EQ(listener.count, 13111u);
+  EXPECT_EQ(listener.events.h, 0xcac6554622977e2eULL);
+  EXPECT_EQ(origin.count, 3011u);
+  EXPECT_EQ(origin.writes.h, 0xf532dfa569ff6f58ULL);
+}
+
 TEST(ShardedCache, IntegrityAcrossShards) {
   auto origin = make_memory_origin(kBlock);
   auto sync_origin = make_synchronized_origin(*origin);

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <set>
 #include <thread>
 #include <vector>
@@ -101,6 +103,74 @@ TEST(BoundedMpsc, CloseDrainsThenSignalsExit) {
   EXPECT_TRUE(q.closed());
 }
 
+// The wake contract. Every wait below is bounded, so a lost wake fails the
+// test instead of hanging it; on a timeout the test wakes the consumer by
+// another route first, so the future's destructor can join its thread.
+constexpr auto kWakeBound = std::chrono::seconds(10);
+
+TEST(BoundedMpsc, WakesOncePerHalfCapacityAndOnKick) {
+  BoundedMpsc<int> q(8);  // wake depth (8 + 1) / 2 = 4
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.push(i));
+  EXPECT_EQ(q.stats().wakeups, 0u);  // below half capacity: no wake
+  ASSERT_TRUE(q.push(3));
+  EXPECT_EQ(q.stats().wakeups, 1u);  // depth reached 4
+  ASSERT_TRUE(q.push(4));
+  EXPECT_EQ(q.stats().wakeups, 1u);  // past the crossing: still one
+  std::vector<int> batch;
+  ASSERT_EQ(q.pop_wait(batch), 5u);
+  q.kick();                          // nothing queued: no wake
+  EXPECT_EQ(q.stats().wakeups, 1u);
+  ASSERT_TRUE(q.push(5));
+  q.kick();                          // one item queued: kick wakes
+  EXPECT_EQ(q.stats().wakeups, 2u);
+  BoundedMpsc<int> one(1);           // wake depth (1 + 1) / 2 = 1
+  ASSERT_TRUE(one.push(0));
+  EXPECT_EQ(one.stats().wakeups, 1u);
+}
+
+TEST(BoundedMpsc, HalfCapacityPushWakesABlockedConsumer) {
+  constexpr std::size_t kCapacity = 8;
+  constexpr std::size_t kWake = (kCapacity + 1) / 2;
+  BoundedMpsc<int> q(kCapacity);
+  auto consumer = std::async(std::launch::async, [&q] {
+    std::vector<int> got, batch;
+    while (got.size() < kWake && q.pop_wait(batch) > 0)
+      got.insert(got.end(), batch.begin(), batch.end());
+    return got;
+  });
+  // Give the consumer time to block in pop_wait (if it starts later it
+  // simply finds the items queued; the wake count below is exact either way).
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (std::size_t i = 0; i + 1 < kWake; ++i)
+    ASSERT_TRUE(q.push(static_cast<int>(i)));
+  EXPECT_EQ(q.stats().wakeups, 0u);
+  ASSERT_TRUE(q.push(static_cast<int>(kWake - 1)));
+  EXPECT_EQ(q.stats().wakeups, 1u);
+  const bool woke = consumer.wait_for(kWakeBound) == std::future_status::ready;
+  if (!woke) q.close();
+  ASSERT_TRUE(woke) << "the half-capacity push did not wake the consumer";
+  EXPECT_EQ(consumer.get(), (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(BoundedMpsc, CloseWakesAndDeliversEverythingQueued) {
+  BoundedMpsc<int> q(64);  // wake depth 32: three items never wake
+  auto consumer = std::async(std::launch::async, [&q] {
+    std::vector<int> got, batch;
+    while (q.pop_wait(batch) > 0)
+      got.insert(got.end(), batch.begin(), batch.end());
+    return got;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.push(i));
+  EXPECT_EQ(q.stats().wakeups, 0u);
+  q.close();
+  const bool woke = consumer.wait_for(kWakeBound) == std::future_status::ready;
+  if (!woke) q.kick();
+  ASSERT_TRUE(woke) << "close() did not wake the consumer";
+  EXPECT_EQ(consumer.get(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(q.stats().dequeued, 3u);
+}
+
 // ---------- DirectoryServer -------------------------------------------------
 
 PlacementEvent ev(BlockId block, std::uint32_t shard, PlacementEventKind kind) {
@@ -130,6 +200,26 @@ TEST(DirectoryServer, AppliesEventsAndTracksOwnership) {
   EXPECT_EQ(dir.owner_of(7), 3u);
   EXPECT_FALSE(dir.tracks(8));
   EXPECT_EQ(dir.stats().resident(), 99u);
+}
+
+TEST(DirectoryServer, DrainAppliesALoneEventBelowTheWakeDepth) {
+  DirectoryConfig cfg;
+  cfg.shards = 1;
+  cfg.queue_capacity = 4096;  // one event is far below the wake depth
+  DirectoryServer dir(cfg);
+  // Let the worker block in pop_wait first, so only drain() can wake it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  dir.on_placement(ev(42, 1, PlacementEventKind::kStore));
+  auto drained = std::async(std::launch::async, [&dir] { dir.drain(); });
+  const bool done = drained.wait_for(kWakeBound) == std::future_status::ready;
+  if (!done) dir.stop();  // applies the queue and releases drain()
+  ASSERT_TRUE(done) << "drain() did not wake the directory worker";
+  EXPECT_TRUE(dir.tracks(42));
+  EXPECT_EQ(dir.owner_of(42), 1u);
+  const DirectoryStats s = dir.stats();
+  EXPECT_EQ(s.applied(), 1u);
+  // At most drain()'s kick (none if the worker had not blocked yet).
+  EXPECT_LE(s.shards[0].queue.wakeups, 1u);
 }
 
 TEST(DirectoryServer, CapacityBoundEvictsColdEntries) {
@@ -292,7 +382,7 @@ TEST(LoadGen, ResultJsonCarriesTheServingSchema) {
        {"\"workload\"", "\"threads\"", "\"requests\"", "\"wall_seconds\"",
         "\"requests_per_sec\"", "\"latency_ms\"", "\"p50\"", "\"p95\"",
         "\"p99\"", "\"cache\"", "\"directory\"", "\"shape\"", "\"queue\"",
-        "\"producer_waits\""}) {
+        "\"producer_waits\"", "\"wakeups\"", "\"directory_queue_capacity\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << key;
   }
 }

@@ -223,7 +223,8 @@ void rule_unbounded_retry(const FileUnit& u, std::vector<Finding>& out) {
 
 void rule_hot_container(const FileUnit& u, std::vector<Finding>& out) {
   if (!path_has(u, "src/ulc/") && !path_has(u, "src/replacement/") &&
-      !path_has(u, "src/hierarchy/") && !path_has(u, "src/order/"))
+      !path_has(u, "src/hierarchy/") && !path_has(u, "src/order/") &&
+      !path_has(u, "src/runtime/"))
     return;
   const auto& toks = u.lexed.tokens;
   for (std::size_t i = 0; i < toks.size(); ++i) {
