@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
 #include <vector>
 
 #include "util/ensure.h"
@@ -16,8 +17,12 @@ UlcConfig engine_config(const BlockCacheConfig& cfg, const NearTier& near) {
   return out;
 }
 
+// Counters are written only under the cache lock, so an increment needs no
+// atomic read-modify-write; the relaxed store keeps stats()' lock-free reads
+// tear-free.
 inline void bump(std::atomic<std::uint64_t>& counter) {
-  counter.fetch_add(1, std::memory_order_relaxed);
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -50,7 +55,6 @@ BlockCache::BlockCache(const BlockCacheConfig& config, NearTier& near,
   }
   index_.reserve(entries);
   scratch_.resize(config.block_size);
-  scratch2_.resize(config.block_size);
 }
 
 BlockCache::~BlockCache() {
@@ -113,13 +117,13 @@ void BlockCache::release_buffer(std::uint32_t index) {
 }
 
 void BlockCache::set_writeback_journal(WritebackSink* journal) {
-  std::lock_guard<std::mutex> guard(lock_);
+  std::lock_guard<SpinThenParkMutex> guard(lock_);
   journal_ = journal;
 }
 
 void BlockCache::set_placement_listener(PlacementListener* listener,
                                         std::uint32_t shard) {
-  std::lock_guard<std::mutex> guard(lock_);
+  std::lock_guard<SpinThenParkMutex> guard(lock_);
   listener_ = listener;
   shard_id_ = shard;
 }
@@ -178,9 +182,9 @@ void BlockCache::handle_demotions(const UlcAccess& outcome) {
         // Pin for the write-back window: the tier refuses to evict the
         // block while its bytes are being copied out.
         near_.pin(cmd.block);
-        const bool ok = near_.fetch(cmd.block, scratch2_);
+        const bool ok = near_.fetch(cmd.block, scratch_);
         ULC_ENSURE(ok, "dirty near-tier block missing");
-        writeback(cmd.block, 1, scratch2_);
+        writeback(cmd.block, 1, scratch_);
         near_.unpin(cmd.block);
       }
       near_.evict(cmd.block);
@@ -190,25 +194,36 @@ void BlockCache::handle_demotions(const UlcAccess& outcome) {
   }
 }
 
-void BlockCache::apply_placement(BlockId block, std::uint32_t index,
+void BlockCache::fetch_from_below(BlockId block, const UlcAccess& outcome,
+                                  std::span<std::byte> out) {
+  if (outcome.hit_level == 1) {
+    const bool ok = near_.fetch(block, out);
+    ULC_ENSURE(ok, "engine says near-tier hit but the tier lacks the block");
+  } else {
+    origin_.read(block, out);
+  }
+}
+
+std::byte* BlockCache::place_in_ram(BlockId block, std::uint32_t index,
+                                    const UlcAccess& outcome, bool dirtying) {
+  if (index == kNone) index = acquire_descriptor(block, 0);
+  Descriptor& d = descriptors_[index];
+  if ((d.flags & Descriptor::kInRam) == 0) {
+    d.buffer = acquire_buffer();
+    notify(block, outcome.hit_level == 1 ? PlacementEventKind::kPromote
+                                         : PlacementEventKind::kStore);
+  }
+  const std::uint8_t dirty = dirtying ? Descriptor::kDirty : 0;
+  d.flags = static_cast<std::uint8_t>((d.flags & Descriptor::kDirty) |
+                                      Descriptor::kInRam | dirty);
+  return buffer_data(d.buffer);
+}
+
+void BlockCache::place_below_ram(BlockId block, std::uint32_t index,
                                  const UlcAccess& outcome,
                                  std::span<const std::byte> contents,
                                  bool dirtying) {
-  const std::uint8_t dirty = dirtying ? Descriptor::kDirty : 0;
-  if (outcome.placed_level == 0) {
-    if (index == kNone) index = acquire_descriptor(block, 0);
-    Descriptor& d = descriptors_[index];
-    if ((d.flags & Descriptor::kInRam) == 0) {
-      d.buffer = acquire_buffer();
-      notify(block, outcome.hit_level == 1 ? PlacementEventKind::kPromote
-                                           : PlacementEventKind::kStore);
-    }
-    if (buffer_data(d.buffer) != contents.data())
-      std::memcpy(buffer_data(d.buffer), contents.data(), config_.block_size);
-    if (outcome.hit_level == 1) near_.evict(block);  // exclusive move up
-    d.flags = static_cast<std::uint8_t>((d.flags & Descriptor::kDirty) |
-                                        Descriptor::kInRam | dirty);
-  } else if (outcome.placed_level == 1) {
+  if (outcome.placed_level == 1) {
     // Stays at / goes to the near tier. On a near-tier read hit nothing
     // moves; writes and fresh placements must store the bytes.
     if (dirtying || outcome.hit_level != 1) {
@@ -216,49 +231,50 @@ void BlockCache::apply_placement(BlockId block, std::uint32_t index,
       if (outcome.hit_level != 1) notify(block, PlacementEventKind::kStore);
     }
     if (index == kNone) index = acquire_descriptor(block, Descriptor::kInNear);
-    descriptors_[index].flags |= dirty;
-  } else {
-    // Not cached anywhere: pass-through. A write goes straight to the
-    // origin; a read retains nothing.
-    if (dirtying) writeback(block, 0, contents);
+    if (dirtying) descriptors_[index].flags |= Descriptor::kDirty;
+  } else if (dirtying) {
+    // Not cached anywhere: a write goes straight to the origin (a read
+    // retains nothing).
+    writeback(block, 0, contents);
   }
 }
 
 void BlockCache::read(BlockId block, std::span<std::byte> out) {
   ULC_REQUIRE(out.size() >= config_.block_size, "read buffer too small");
-  std::lock_guard<std::mutex> guard(lock_);
+  const std::span<std::byte> dst = out.first(config_.block_size);
+  std::lock_guard<SpinThenParkMutex> guard(lock_);
   bump(counters_.reads);
   const UlcAccess& a = engine_.access(block);
   const std::uint32_t index = lookup_served(block, a);
-
-  const std::byte* source = nullptr;
   if (a.hit_level == 0) {
     bump(counters_.memory_hits);
-    source = buffer_data(descriptors_[index].buffer);
   } else if (a.hit_level == 1) {
     bump(counters_.near_hits);
-    const bool ok = near_.fetch(block, scratch_);
-    ULC_ENSURE(ok, "engine says near-tier hit but the tier lacks the block");
-    source = scratch_.data();
   } else {
     bump(counters_.origin_reads);
-    origin_.read(block, scratch_);
-    source = scratch_.data();
   }
-  std::memcpy(out.data(), source, config_.block_size);
-
-  // Demotions first: they free the RAM buffer a promotion may need. They
-  // never touch the just-accessed block (it sits at the stack top), so its
-  // descriptor index stays valid, and they use their own scratch buffer, so
-  // `source` stays valid too.
   handle_demotions(a);
-  apply_placement(block, index, a, std::span(source, config_.block_size),
-                  /*dirtying=*/false);
+
+  // Each tier move is one copy: a block bound for RAM is fetched straight
+  // into its buffer and copied out from there; any other block is fetched
+  // straight into `out`, and a near-tier placement stores from it.
+  if (a.placed_level == 0) {
+    std::byte* buffer = place_in_ram(block, index, a, /*dirtying=*/false);
+    if (a.hit_level != 0) {
+      fetch_from_below(block, a, std::span(buffer, config_.block_size));
+      if (a.hit_level == 1) near_.evict(block);  // exclusive move up
+    }
+    std::memcpy(dst.data(), buffer, config_.block_size);
+  } else {
+    fetch_from_below(block, a, dst);
+    place_below_ram(block, index, a, dst, /*dirtying=*/false);
+  }
 }
 
 void BlockCache::write(BlockId block, std::span<const std::byte> in) {
   ULC_REQUIRE(in.size() >= config_.block_size, "write buffer too small");
-  std::lock_guard<std::mutex> guard(lock_);
+  const std::span<const std::byte> src = in.first(config_.block_size);
+  std::lock_guard<SpinThenParkMutex> guard(lock_);
   bump(counters_.writes);
   const UlcAccess& a = engine_.access(block);
   const std::uint32_t index = lookup_served(block, a);
@@ -267,11 +283,17 @@ void BlockCache::write(BlockId block, std::span<const std::byte> in) {
   } else if (a.hit_level == 1) {
     bump(counters_.near_hits);
   }
+  handle_demotions(a);
+
   // A whole-block write does not need the old contents; the new bytes are
   // placed per the engine's direction.
-  handle_demotions(a);
-  apply_placement(block, index, a, in.subspan(0, config_.block_size),
-                  /*dirtying=*/true);
+  if (a.placed_level == 0) {
+    std::memcpy(place_in_ram(block, index, a, /*dirtying=*/true), src.data(),
+                config_.block_size);
+    if (a.hit_level == 1) near_.evict(block);  // exclusive move up
+  } else {
+    place_below_ram(block, index, a, src, /*dirtying=*/true);
+  }
 }
 
 void BlockCache::write_back_dirty_locked(Descriptor& d) {
@@ -298,18 +320,18 @@ std::vector<BlockId> BlockCache::dirty_blocks_locked() const {
 }
 
 void BlockCache::flush() {
-  std::lock_guard<std::mutex> guard(lock_);
+  std::lock_guard<SpinThenParkMutex> guard(lock_);
   for (BlockId block : dirty_blocks_locked())
     write_back_dirty_locked(descriptors_[lookup(block)]);
 }
 
 std::vector<BlockId> BlockCache::dirty_blocks() const {
-  std::lock_guard<std::mutex> guard(lock_);
+  std::lock_guard<SpinThenParkMutex> guard(lock_);
   return dirty_blocks_locked();
 }
 
 void BlockCache::flush_block(BlockId block) {
-  std::lock_guard<std::mutex> guard(lock_);
+  std::lock_guard<SpinThenParkMutex> guard(lock_);
   const std::uint32_t index = lookup(block);
   if (index == kNone || (descriptors_[index].flags & Descriptor::kDirty) == 0)
     return;
@@ -327,11 +349,12 @@ BlockCacheStats BlockCache::stats() const {
   out.writebacks = counters_.writebacks.load(std::memory_order_relaxed);
   out.reads = counters_.reads.load(std::memory_order_relaxed);
   out.writes = counters_.writes.load(std::memory_order_relaxed);
+  out.lock_parks = lock_.parks();
   return out;
 }
 
 bool BlockCache::resident_in_memory(BlockId block) const {
-  std::lock_guard<std::mutex> guard(lock_);
+  std::lock_guard<SpinThenParkMutex> guard(lock_);
   const std::uint32_t index = lookup(block);
   return index != kNone &&
          (descriptors_[index].flags & Descriptor::kInRam) != 0;

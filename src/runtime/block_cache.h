@@ -16,17 +16,18 @@
 // the data path allocates nothing per block (DESIGN.md §10).
 //
 // Thread safety: all mutating operations are serialized by one internal
-// mutex (the engine's metadata operations are O(1), so the lock is held
-// briefly except during tier/origin IO). Hot counters are relaxed atomics,
-// so stats() is lock-free: a monitoring thread never queues behind an
-// in-flight origin read. ShardedBlockCache layers N of these for callers
-// whose access rate outgrows one lock.
+// SpinThenParkMutex (the engine's metadata operations are O(1) and a block
+// moves between tiers in one copy, so the lock is held for about a
+// microsecond except during origin IO; a waiter spins that out instead of
+// sleeping). Hot counters are relaxed atomics, so stats() is lock-free: a
+// monitoring thread never queues behind an in-flight origin read.
+// ShardedBlockCache layers N of these for callers whose access rate
+// outgrows one lock.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "ulc/ulc_client.h"
 #include "ulc/writeback.h"
 #include "util/flat_hash.h"
+#include "util/spin_mutex.h"
 
 namespace ulc {
 
@@ -50,6 +52,7 @@ struct BlockCacheStats {
   std::uint64_t writebacks = 0;     // dirty blocks written to the origin
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
+  std::uint64_t lock_parks = 0;     // times a shard-lock waiter went to sleep
 };
 
 // Data-movement notifications for an external directory (the serving
@@ -135,9 +138,10 @@ class BlockCache {
   };
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-  // Mutated under lock_, read lock-free by stats(): relaxed ordering is
-  // enough because each counter is independent (no cross-counter invariant
-  // is promised to concurrent readers).
+  // Written only under lock_ and read lock-free by stats(): relaxed ordering
+  // is enough because each counter is independent (no cross-counter
+  // invariant is promised to concurrent readers), and the single writer
+  // increments with a plain load+store instead of a locked read-modify-write.
   struct Counters {
     std::atomic<std::uint64_t> memory_hits{0};
     std::atomic<std::uint64_t> near_hits{0};
@@ -162,13 +166,27 @@ class BlockCache {
   std::uint32_t acquire_buffer();
   void release_buffer(std::uint32_t index);
   void notify(BlockId block, PlacementEventKind kind);
-  // Applies the engine's outcome for `block` (descriptor `index`, kNone on a
-  // miss) whose fresh contents are `contents`: residency, near tier, dirty
-  // state.
-  void apply_placement(BlockId block, std::uint32_t index,
+  // Runs the engine's demotion cascade. Placement calls it first: it frees
+  // the RAM buffer a promotion needs and never touches the accessed block
+  // (that block sits at the stack top).
+  void handle_demotions(const UlcAccess& outcome);
+  // Copies a block the engine served from below RAM (a near-tier hit or an
+  // origin miss) into `out`.
+  void fetch_from_below(BlockId block, const UlcAccess& outcome,
+                        std::span<std::byte> out);
+  // Level-0 placement of `block` (descriptor `index`, kNone on a miss):
+  // gives it a RAM buffer if it holds none, emitting the store or promote
+  // event, and marks it RAM-resident (and dirty if `dirtying`). Returns the
+  // buffer for the caller to fill; a promoted block's near-tier copy stays
+  // until the caller evicts it after the fill.
+  std::byte* place_in_ram(BlockId block, std::uint32_t index,
+                          const UlcAccess& outcome, bool dirtying);
+  // Placement at the near tier or nowhere, from `contents`: stores them in
+  // the near tier unless a read hit leaves them there, or writes a write
+  // that the engine does not cache straight through to the origin.
+  void place_below_ram(BlockId block, std::uint32_t index,
                        const UlcAccess& outcome,
                        std::span<const std::byte> contents, bool dirtying);
-  void handle_demotions(const UlcAccess& outcome);
   // Pushes the block's bytes to the origin through the journal pipeline
   // (append -> write -> mark_written -> ack). `from` is the tier the dirty
   // data is leaving (0 = RAM, 1 = near tier).
@@ -183,15 +201,14 @@ class BlockCache {
   NearTier& near_;
   Origin& origin_;
 
-  mutable std::mutex lock_;
+  mutable SpinThenParkMutex lock_;
   UlcClient engine_;
   std::vector<std::byte> arena_;  // memory_blocks RAM buffers
   std::vector<std::uint32_t> free_buffers_;
   std::vector<Descriptor> descriptors_;  // fixed size, never reallocated
   std::uint32_t free_descriptor_ = kNone;  // head of the free list
   FlatMap<BlockId, std::uint32_t> index_;  // block -> descriptor
-  std::vector<std::byte> scratch_;
-  std::vector<std::byte> scratch2_;  // demotion-path IO (keeps scratch_ valid)
+  std::vector<std::byte> scratch_;  // near-tier bytes on their way to the origin
   WritebackSink* journal_ = nullptr;
   PlacementListener* listener_ = nullptr;
   std::uint32_t shard_id_ = 0;

@@ -84,6 +84,7 @@ Json cache_stats_to_json(const BlockCacheStats& s) {
   j.set("origin_reads", s.origin_reads);
   j.set("demotions", s.demotions);
   j.set("writebacks", s.writebacks);
+  j.set("lock_parks", s.lock_parks);
   return j;
 }
 

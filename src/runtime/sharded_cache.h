@@ -30,7 +30,7 @@
 
 namespace ulc {
 
-// Serializes a non-thread-safe Origin behind a mutex.
+// Serializes a non-thread-safe Origin behind one SpinThenParkMutex.
 std::unique_ptr<Origin> make_synchronized_origin(Origin& inner);
 
 class ShardedBlockCache {

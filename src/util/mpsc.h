@@ -12,13 +12,18 @@
 // deterministic sequence; with several producers the order is whatever
 // interleaving the mutex admits (per-producer subsequences stay in order).
 //
-// The consumer drains in batches (pop_wait) to amortize the lock. Producers
-// wake a waiting consumer only when the depth reaches half the capacity,
-// (capacity + 1) / 2, not on every push: a futex wake per item costs more
-// than the item, and the producer usually holds a cache shard lock while it
-// pushes. Items below that depth wait until the next crossing, a kick(), or
-// close(), so a consumer lags its producers by at most half the bound. A
-// caller that needs the tail applied now (a drain barrier) calls kick().
+// The consumer drains in batches (pop_wait) to amortize the lock: it swaps
+// the whole backlog out for its own (cleared) vector, so the hand-off is
+// O(1) under the lock and the two buffers trade places with no allocation
+// once both have grown.
+//
+// Producers wake a waiting consumer only when the depth reaches half the
+// capacity, (capacity + 1) / 2, not on every push: a futex wake per item
+// costs more than the item, and the producer usually holds a cache shard
+// lock while it pushes. Items below that depth wait until the next
+// crossing, a kick(), or close(), so a consumer lags its producers by at
+// most half the bound. A caller that needs the tail applied now (a drain
+// barrier) calls kick().
 // close() wakes everyone: producers see push() fail, the consumer drains
 // what is left and then gets 0.
 #pragma once
@@ -26,7 +31,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <vector>
 
@@ -82,17 +86,15 @@ class BoundedMpsc {
   }
 
   // Consumer side: clears `out`, then returns at once if items are queued,
-  // else blocks until a wake (half-capacity push, kick() or close()); moves
-  // every queued item into `out`. Returns the number of items delivered;
-  // 0 means "closed and fully drained" — the consumer's exit signal.
+  // else blocks until a wake (half-capacity push, kick() or close()); swaps
+  // every queued item into `out`, in FIFO order. Returns the number of items
+  // delivered; 0 means "closed and fully drained" — the consumer's exit
+  // signal.
   std::size_t pop_wait(std::vector<T>& out) {
     out.clear();
     std::unique_lock<std::mutex> lock(lock_);
     not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-    while (!items_.empty()) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
+    items_.swap(out);
     stats_.dequeued += out.size();
     if (!out.empty()) not_full_.notify_all();
     return out.size();
@@ -151,7 +153,7 @@ class BoundedMpsc {
   mutable std::mutex lock_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::deque<T> items_;
+  std::vector<T> items_;  // FIFO: pushed at the back, handed off whole
   bool closed_ = false;
   MpscStats stats_;
 };

@@ -70,6 +70,18 @@ inline void prefetch_write(const void* p) {
 #endif
 }
 
+// Spin-wait hint for one iteration of a busy-wait loop: x86 `pause`, AArch64
+// `yield`. It stops the spinning core from flooding the lock's cache line
+// with speculative loads and gives a sibling hyperthread the pipeline. A
+// no-op in the scalar build, which compiles no ISA-specific instruction.
+inline void cpu_relax() {
+#if defined(ULC_SIMD_SSE2)
+  _mm_pause();
+#elif defined(ULC_SIMD_NEON) && defined(__aarch64__)
+  __asm__ __volatile__("yield");
+#endif
+}
+
 #if defined(ULC_SIMD_SSE2)
 
 // SSE2 group probe: one 16-byte load + byte-compare + movemask.

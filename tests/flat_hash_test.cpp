@@ -196,7 +196,9 @@ void expect_maps_agree(A& a, B& b, std::uint64_t key_space,
     const std::uint64_t* va = a.find(k);
     const std::uint64_t* vb = b.find(k);
     ASSERT_EQ(va == nullptr, vb == nullptr) << when << " key " << k;
-    if (va != nullptr) ASSERT_EQ(*va, *vb) << when << " key " << k;
+    if (va != nullptr) {
+      ASSERT_EQ(*va, *vb) << when << " key " << k;
+    }
   }
 }
 
@@ -248,7 +250,9 @@ TEST(FlatMapDifferential, SimdMatchesScalarUnderTombstoneHeavyChurn) {
           const std::uint64_t* va = simd.find(k);
           const std::uint64_t* vb = scalar.find(k);
           ASSERT_EQ(va == nullptr, vb == nullptr) << "find step " << step;
-          if (va != nullptr) ASSERT_EQ(*va, *vb) << "find step " << step;
+          if (va != nullptr) {
+            ASSERT_EQ(*va, *vb) << "find step " << step;
+          }
         }
       }
       ASSERT_EQ(simd.rehashes(), scalar.rehashes()) << "step " << step;

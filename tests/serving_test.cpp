@@ -128,6 +128,34 @@ TEST(BoundedMpsc, WakesOncePerHalfCapacityAndOnKick) {
   EXPECT_EQ(one.stats().wakeups, 1u);
 }
 
+// pop_wait hands the backlog over by swapping buffers with the caller, so
+// the queue's storage and the consumer's batch trade places every round.
+// Order, per-round wake counts and the dequeue ledger must not notice.
+TEST(BoundedMpsc, SwappedBatchesKeepFifoOrderAndWakeCounts) {
+  BoundedMpsc<int> q(8);  // wake depth 4
+  std::vector<int> batch = {-1, -2};  // stale contents must be cleared
+  int next = 0;
+  std::uint64_t wakes = 0;
+  for (int round = 0; round < 6; ++round) {
+    const int n = 1 + round;  // 1..6 items, crossing the wake depth from 4
+    const int first = next;
+    for (int i = 0; i < n; ++i) ASSERT_TRUE(q.push(next++));
+    if (n >= 4) ++wakes;  // one crossing per round that reaches depth 4
+    EXPECT_EQ(q.stats().wakeups, wakes) << "round " << round;
+    ASSERT_EQ(q.pop_wait(batch), static_cast<std::size_t>(n));
+    ASSERT_EQ(batch.size(), static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) EXPECT_EQ(batch[i], first + i) << round;
+    EXPECT_EQ(q.depth(), 0u);
+  }
+  const MpscStats s = q.stats();
+  EXPECT_EQ(s.enqueued, static_cast<std::uint64_t>(next));
+  EXPECT_EQ(s.dequeued, s.enqueued);
+  EXPECT_EQ(s.max_depth, 6u);
+  q.close();
+  EXPECT_EQ(q.pop_wait(batch), 0u);
+  EXPECT_TRUE(batch.empty());
+}
+
 TEST(BoundedMpsc, HalfCapacityPushWakesABlockedConsumer) {
   constexpr std::size_t kCapacity = 8;
   constexpr std::size_t kWake = (kCapacity + 1) / 2;
@@ -382,7 +410,8 @@ TEST(LoadGen, ResultJsonCarriesTheServingSchema) {
        {"\"workload\"", "\"threads\"", "\"requests\"", "\"wall_seconds\"",
         "\"requests_per_sec\"", "\"latency_ms\"", "\"p50\"", "\"p95\"",
         "\"p99\"", "\"cache\"", "\"directory\"", "\"shape\"", "\"queue\"",
-        "\"producer_waits\"", "\"wakeups\"", "\"directory_queue_capacity\""}) {
+        "\"producer_waits\"", "\"wakeups\"", "\"directory_queue_capacity\"",
+        "\"lock_parks\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << key;
   }
 }
